@@ -7,215 +7,19 @@ non-asymptotic expected-error and model-error bounds from system-level
 quantities, and ``experiments`` compares them against Monte Carlo runs.
 """
 
-from .bounds import (
-    BoundInputs,
-    ConstantLedger,
-    LedgerTerm,
-    ModelErrorDetail,
-    bound_inputs,
-    build_ledger,
-    element_deviation,
-    epsilon0,
-    epsilon1,
-    expected_error_bound,
-    format_ledger,
-    gain_envelope,
-    hard_floor,
-    model_error_bound,
-    model_error_detail,
-    moment_count,
-    optimize_envelope,
-    select_ledger,
-    tail_bound,
-)
-from .errors import (
-    DegenerateNoise,
-    DimensionMismatch,
-    GenerationFailed,
-    InsufficientData,
-    InvalidT0,
-    NotStabilizable,
-    NotStable,
-    NumericalError,
-    OrderMismatch,
-    PredictorUnstable,
-    RedarError,
-    RhoTooSmall,
-    SchemaError,
-    TBelowT0,
-    Unstable,
-)
-from .experiments import (
-    ExperimentConfig,
-    ExperimentResult,
-    ReportRow,
-    run_experiment,
-    run_seed,
-    write_outputs,
-    write_report,
-)
-from .kalman import (
-    CovarianceFloorWarning,
-    MomentSet,
-    autocovariance,
-    exact_moments,
-    finite_horizon_predictor,
-    predictor_markov_blocks,
-    steady_state_predictor,
-)
-from .linalg import (
-    StateSpace,
-    balanced_truncate,
-    frequency_response,
-    hankel_singular_values,
-    hinf_norm,
-    kalman_gain,
-    parallel_difference,
-    peak_gain,
-    solve_discrete_lyapunov,
-    solve_discrete_riccati,
-    spectral_radius,
-)
-from .realization import (
-    FitResult,
-    IdentifiedModel,
-    PredictorRealization,
-    extract_innovation_form,
-    fit_redar,
-    predict_with_model,
-    prediction_mse,
-    reduce_predictor,
-    run_predictor,
-    varx_to_predictor,
-)
-from .serialize import (
-    load_config,
-    load_dataset_csv,
-    load_model,
-    parse_config,
-    save_dataset_csv,
-    save_model,
-)
-from .systems import (
-    ClosedLoop,
-    Controller,
-    Dims,
-    InnovationModel,
-    Trajectory,
-    assemble_closed_loop,
-    noise_to_signal,
-    random_closed_loop,
-    random_innovation_model,
-    signal_powers,
-    simulate,
-)
-from .varx import (
-    LAG_LAYOUT,
-    Dataset,
-    VarxModel,
-    build_regressors,
-    empirical_moments,
-    fit_from_moments,
-    fit_varx,
-    predict_varx,
-)
+from . import bounds, errors, experiments, kalman, linalg, realization, serialize, systems, varx
+from .bounds import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .experiments import *  # noqa: F403
+from .kalman import *  # noqa: F403
+from .linalg import *  # noqa: F403
+from .realization import *  # noqa: F403
+from .serialize import *  # noqa: F403
+from .systems import *  # noqa: F403
+from .varx import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundInputs",
-    "ConstantLedger",
-    "LedgerTerm",
-    "ModelErrorDetail",
-    "bound_inputs",
-    "build_ledger",
-    "element_deviation",
-    "epsilon0",
-    "epsilon1",
-    "expected_error_bound",
-    "format_ledger",
-    "gain_envelope",
-    "hard_floor",
-    "model_error_bound",
-    "model_error_detail",
-    "moment_count",
-    "optimize_envelope",
-    "select_ledger",
-    "tail_bound",
-    "DegenerateNoise",
-    "DimensionMismatch",
-    "GenerationFailed",
-    "InsufficientData",
-    "InvalidT0",
-    "NotStabilizable",
-    "NotStable",
-    "NumericalError",
-    "OrderMismatch",
-    "PredictorUnstable",
-    "RedarError",
-    "RhoTooSmall",
-    "SchemaError",
-    "TBelowT0",
-    "Unstable",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "ReportRow",
-    "run_experiment",
-    "run_seed",
-    "write_outputs",
-    "write_report",
-    "CovarianceFloorWarning",
-    "MomentSet",
-    "autocovariance",
-    "exact_moments",
-    "finite_horizon_predictor",
-    "predictor_markov_blocks",
-    "steady_state_predictor",
-    "StateSpace",
-    "balanced_truncate",
-    "frequency_response",
-    "hankel_singular_values",
-    "hinf_norm",
-    "kalman_gain",
-    "parallel_difference",
-    "peak_gain",
-    "solve_discrete_lyapunov",
-    "solve_discrete_riccati",
-    "spectral_radius",
-    "FitResult",
-    "IdentifiedModel",
-    "PredictorRealization",
-    "extract_innovation_form",
-    "fit_redar",
-    "predict_with_model",
-    "prediction_mse",
-    "reduce_predictor",
-    "run_predictor",
-    "varx_to_predictor",
-    "load_config",
-    "load_dataset_csv",
-    "load_model",
-    "parse_config",
-    "save_dataset_csv",
-    "save_model",
-    "ClosedLoop",
-    "Controller",
-    "Dims",
-    "InnovationModel",
-    "Trajectory",
-    "assemble_closed_loop",
-    "noise_to_signal",
-    "random_closed_loop",
-    "random_innovation_model",
-    "signal_powers",
-    "simulate",
-    "Dataset",
-    "VarxModel",
-    "build_regressors",
-    "empirical_moments",
-    "fit_from_moments",
-    "fit_varx",
-    "predict_varx",
-    "LAG_LAYOUT",
-    "__version__",
-]
+# Each module's __all__ is the one list of its public names.
+_MODULES = (bounds, errors, experiments, kalman, linalg, realization, serialize, systems, varx)
+__all__ = [name for module in _MODULES for name in module.__all__] + ["__version__"]

@@ -54,6 +54,8 @@ __all__ = [
     "expected_error_bound",
     "model_error_bound",
     "model_error_detail",
+    "BoundCells",
+    "bound_cells",
     "bound_inputs",
     "format_ledger",
 ]
@@ -451,6 +453,34 @@ def model_error_detail(inputs: BoundInputs, theta: float, t: float) -> ModelErro
 def model_error_bound(inputs: BoundInputs, theta: float, t: float) -> float:
     """Value of the high-probability H-infinity model-error bound."""
     return model_error_detail(inputs, theta, t).value
+
+
+@dataclass(frozen=True)
+class BoundCells:
+    """Both bounds at one sample size T for one ledger.
+
+    ``valid`` is T >= t0; below it the two expected-error values are None.
+    """
+
+    valid: bool
+    expected: float | None
+    expected_alt: float | None
+    model_error: ModelErrorDetail
+
+
+def bound_cells(inputs: BoundInputs, ledger: ConstantLedger, theta: float, t: float) -> BoundCells:
+    """Model-error bound and, from t0 on, the primary and squared-tail
+    expected-error bounds at sample size ``t``."""
+    t = float(t)
+    detail = model_error_detail(inputs, theta, t)
+    if not t >= ledger.t0:
+        return BoundCells(False, None, None, detail)
+    return BoundCells(
+        True,
+        expected_error_bound(inputs, ledger, t),
+        expected_error_bound(inputs, ledger, t, squared_tail=True),
+        detail,
+    )
 
 
 def bound_inputs(

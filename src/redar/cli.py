@@ -8,7 +8,9 @@ runs the full sweep driver.
 
 Exit codes: 0 success, 2 a claimed bound was violated by data, 3 random
 generation failed, 4 input files or flag values do not follow the
-documented schema (including command line usage errors).
+documented schema (including command line usage errors).  A sweep whose
+seeds fail still writes the other seeds' outputs and exits with the
+code of the first failed seed's error.
 """
 
 from __future__ import annotations
@@ -20,13 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import (
-    bound_inputs,
-    expected_error_bound,
-    format_ledger,
-    model_error_detail,
-    select_ledger,
-)
+from .bounds import bound_cells, bound_inputs, format_ledger, select_ledger
 from .errors import GenerationFailed, RedarError, SchemaError
 from .experiments import (
     ExperimentConfig,
@@ -170,20 +166,15 @@ def _cmd_bound(args) -> int:
     ledger = select_ledger(inputs, target)
     lines = [",".join(BOUND_COLUMNS)]
     for t in ts:
-        detail = model_error_detail(inputs, args.theta, float(t))
-        valid = t >= ledger.t0
-        if valid:
-            expected = render_cell(expected_error_bound(inputs, ledger, float(t)))
-            alt = render_cell(expected_error_bound(inputs, ledger, float(t), squared_tail=True))
-        else:
-            expected = alt = "invalid"
+        cells = bound_cells(inputs, ledger, args.theta, t)
+        detail = cells.model_error
         lines.append(
             ",".join(
                 [
                     str(t),
-                    "yes" if valid else "no",
-                    expected,
-                    alt,
+                    "yes" if cells.valid else "no",
+                    render_cell(cells.expected) if cells.valid else "invalid",
+                    render_cell(cells.expected_alt) if cells.valid else "invalid",
                     render_cell(detail.value),
                     render_cell(detail.delta),
                     "yes" if detail.small_deviation_branch else "no",
@@ -227,6 +218,10 @@ def _cmd_experiment(args) -> int:
                 file=sys.stderr,
             )
         return 2
+    if result.errors:
+        error = result.errors[0]
+        print(f"redar: {len(result.errors)} seed(s) failed, first: {error}", file=sys.stderr)
+        return 3 if isinstance(error, GenerationFailed) else 1
     return 0
 
 

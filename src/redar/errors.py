@@ -1,5 +1,23 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "RedarError",
+    "DimensionMismatch",
+    "NotStable",
+    "NotStabilizable",
+    "Unstable",
+    "DegenerateNoise",
+    "GenerationFailed",
+    "InsufficientData",
+    "OrderMismatch",
+    "PredictorUnstable",
+    "RhoTooSmall",
+    "InvalidT0",
+    "TBelowT0",
+    "SchemaError",
+    "NumericalError",
+]
+
 
 class RedarError(Exception):
     """Base class for all package-specific errors."""

@@ -21,10 +21,9 @@ import numpy as np
 from .bounds import (
     BoundInputs,
     ConstantLedger,
+    bound_cells,
     bound_inputs,
-    expected_error_bound,
     format_ledger,
-    model_error_detail,
     select_ledger,
 )
 from .errors import RedarError, SchemaError
@@ -149,25 +148,6 @@ def config_from_mapping(mapping: dict[str, str], base: ExperimentConfig | None =
         raise SchemaError(str(exc)) from None
 
 
-REPORT_COLUMNS = (
-    "seed",
-    "t",
-    "status",
-    "mse_fit",
-    "mse_oracle",
-    "expected_bound",
-    "expected_bound_alt",
-    "bound_valid",
-    "hinf_actual",
-    "hinf_bound",
-    "reduced_order",
-    "certified_error",
-    "t0",
-    "k",
-    "ledger_ref",
-)
-
-
 @dataclass(frozen=True)
 class ReportRow:
     """One (seed, sample size) cell of the experiment report."""
@@ -189,15 +169,23 @@ class ReportRow:
     ledger_ref: str = ""
 
 
+REPORT_COLUMNS = tuple(f.name for f in fields(ReportRow))
+
+
 @dataclass(frozen=True)
 class SeedOutcome:
-    """Per-seed artifacts: the sampled loop, its bound data and the rows."""
+    """Per-seed artifacts: the sampled loop, its bound data and the rows.
+
+    A seed whose set-up failed keeps only ``error`` and one error row per
+    sample size; its bound data are None.
+    """
 
     seed: int
-    inputs: BoundInputs
-    ledger: ConstantLedger
-    mse_oracle: float
+    inputs: BoundInputs | None
+    ledger: ConstantLedger | None
+    mse_oracle: float | None
     rows: tuple[ReportRow, ...]
+    error: Exception | None = None
 
 
 @dataclass(frozen=True)
@@ -209,6 +197,11 @@ class ExperimentResult:
     @property
     def rows(self) -> tuple[ReportRow, ...]:
         return tuple(row for outcome in self.outcomes for row in outcome.rows)
+
+    @property
+    def errors(self) -> tuple[Exception, ...]:
+        """Errors of the seeds whose set-up failed, in seed order."""
+        return tuple(o.error for o in self.outcomes if o.error is not None)
 
 
 def run_seed(config: ExperimentConfig, seed: int, log=None) -> SeedOutcome:
@@ -256,22 +249,17 @@ def run_seed(config: ExperimentConfig, seed: int, log=None) -> SeedOutcome:
             hinf_actual = hinf_norm(
                 parallel_difference(fit.reduced.ss, h_opt.ss), n_grid=config.hinf_grid
             )
-            detail = model_error_detail(inputs, config.theta, float(t))
-            valid = t >= ledger.t0
-            expected = expected_error_bound(inputs, ledger, float(t)) if valid else None
-            expected_alt = (
-                expected_error_bound(inputs, ledger, float(t), squared_tail=True) if valid else None
-            )
+            cells = bound_cells(inputs, ledger, config.theta, t)
             row = ReportRow(
                 seed=seed,
                 t=t,
                 mse_fit=mse_fit,
                 mse_oracle=mse_oracle,
-                expected_bound=expected,
-                expected_bound_alt=expected_alt,
-                bound_valid=valid,
+                expected_bound=cells.expected,
+                expected_bound_alt=cells.expected_alt,
+                bound_valid=cells.valid,
                 hinf_actual=hinf_actual,
-                hinf_bound=detail.value,
+                hinf_bound=cells.model_error.value,
                 reduced_order=fit.reduced.order,
                 certified_error=fit.certified_error,
                 t0=ledger.t0,
@@ -296,8 +284,20 @@ def find_violations(rows) -> tuple[ReportRow, ...]:
     )
 
 
+def _run_seed_or_fail(config: ExperimentConfig, seed: int, log) -> SeedOutcome:
+    try:
+        return run_seed(config, seed, log)
+    except (RedarError, np.linalg.LinAlgError) as exc:
+        if log is not None:
+            log(f"seed {seed}: error: {exc}")
+        rows = tuple(ReportRow(seed=seed, t=t, status=f"error: {exc}") for t in config.t_sweep)
+        return SeedOutcome(seed, None, None, None, rows, error=exc)
+
+
 def run_experiment(config: ExperimentConfig, log=None) -> ExperimentResult:
-    outcomes = tuple(run_seed(config, seed, log) for seed in config.seeds)
+    """Run every seed; a seed whose set-up raises is recorded as failed
+    and the remaining seeds still run."""
+    outcomes = tuple(_run_seed_or_fail(config, seed, log) for seed in config.seeds)
     rows = [row for outcome in outcomes for row in outcome.rows]
     return ExperimentResult(config=config, outcomes=outcomes, violations=find_violations(rows))
 
@@ -345,12 +345,15 @@ def write_outputs(result: ExperimentResult, output_dir=None) -> Path:
     """Write report.csv, per-seed ledgers and per-seed plot data.
 
     Plot data is two two-column files per seed: sample size against the
-    expected-error bound and against the empirical test error.
+    expected-error bound and against the empirical test error.  Seeds
+    whose set-up failed get report rows only.
     """
     out = Path(output_dir if output_dir is not None else result.config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_report(out / "report.csv", result.rows)
     for outcome in result.outcomes:
+        if outcome.error is not None:
+            continue
         (out / f"ledger_seed{outcome.seed}.txt").write_text(format_ledger(outcome.ledger))
         _write_curve(
             out / f"bound_seed{outcome.seed}.csv",

@@ -26,15 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import PredictorUnstable
-from .linalg import StateSpace, solve_discrete_lyapunov, spectral_radius
+from .errors import NumericalError, PredictorUnstable
+from .linalg import StateSpace, spectral_radius
 from .realization import PredictorRealization, predictor_from_coefficients
-from .systems import ClosedLoop, InnovationModel, noise_to_signal
+from .systems import ClosedLoop, InnovationModel, autocovariance
 
 __all__ = [
     "CovarianceFloorWarning",
     "MomentSet",
-    "autocovariance",
     "exact_moments",
     "finite_horizon_predictor",
     "steady_state_predictor",
@@ -66,25 +65,6 @@ class MomentSet:
     @property
     def n_z(self) -> int:
         return self.r.shape[1]
-
-
-def autocovariance(cl: ClosedLoop, max_lag: int) -> np.ndarray:
-    """Stationary autocovariances r[0..max_lag] of z = (u, y)."""
-    if max_lag < 0:
-        raise ValueError(f"max_lag must be nonnegative, got {max_lag}")
-    j = noise_to_signal(cl)
-    p_state = solve_discrete_lyapunov(j.a, j.b @ j.b.T)
-    n_z = cl.n_z
-    out = np.empty((max_lag + 1, n_z, n_z))
-    out[0] = j.c @ p_state @ j.c.T + j.d @ j.d.T
-    if max_lag == 0:
-        return out
-    # cross covariance between the state at t+1 and z at t
-    m = j.a @ p_state @ j.c.T + j.b @ j.d.T
-    for t in range(1, max_lag + 1):
-        out[t] = j.c @ m
-        m = j.a @ m
-    return out
 
 
 def exact_moments(cl: ClosedLoop, p: int) -> MomentSet:
@@ -126,7 +106,7 @@ def finite_horizon_predictor(cl: ClosedLoop, p: int) -> tuple[np.ndarray, Predic
         cho = scipy.linalg.cho_factor(moments.q)
     except np.linalg.LinAlgError as exc:
         lam = float(np.linalg.eigvalsh(moments.q).min())
-        raise ArithmeticError(
+        raise NumericalError(
             f"lag covariance not positive definite (lambda_min(Q) = {lam:.6e}, "
             f"lambda_min(Gamma) = {cl.xi:.6e})"
         ) from exc

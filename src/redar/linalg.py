@@ -36,23 +36,27 @@ __all__ = [
 STABILITY_MARGIN = 1e-9
 
 
-def _as_matrix(m, rows=None, cols=None, name="matrix"):
-    a = np.atleast_2d(np.asarray(m, dtype=float))
+def _as_matrix(m, rows=None, cols=None, name="matrix", square=False):
+    """Validated read-only float copy of a 2-d matrix.
+
+    Shape faults (not 2-d, not square when ``square`` is set, a row or
+    column count other than ``rows`` or ``cols``) raise DimensionMismatch;
+    non-finite entries raise ValueError.  Empty matrices pass, so an
+    order-0 system has a 0 x 0 state matrix.
+    """
+    a = np.atleast_2d(np.array(m, dtype=float))
     if a.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-d, got shape {a.shape}")
+    if square and a.shape[0] != a.shape[1]:
+        raise DimensionMismatch(f"{name} must be square, got {a.shape}")
     if rows is not None and a.shape[0] != rows:
         raise DimensionMismatch(f"{name} has {a.shape[0]} rows, expected {rows}")
     if cols is not None and a.shape[1] != cols:
         raise DimensionMismatch(f"{name} has {a.shape[1]} columns, expected {cols}")
     if a.size and not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
+    a.setflags(write=False)
     return a
-
-
-def _frozen(a):
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,17 +69,13 @@ class StateSpace:
     d: np.ndarray
 
     def __post_init__(self):
-        a = _as_matrix(self.a, name="A")
+        a = _as_matrix(self.a, name="A", square=True)
         n = a.shape[0]
-        if a.shape[1] != n:
-            raise DimensionMismatch(f"A must be square, got {a.shape}")
         b = _as_matrix(self.b, rows=n, name="B")
         c = _as_matrix(self.c, cols=n, name="C")
         d = _as_matrix(self.d, rows=c.shape[0], cols=b.shape[1], name="D")
-        object.__setattr__(self, "a", _frozen(a))
-        object.__setattr__(self, "b", _frozen(b))
-        object.__setattr__(self, "c", _frozen(c))
-        object.__setattr__(self, "d", _frozen(d))
+        for name, m in dict(a=a, b=b, c=c, d=d).items():
+            object.__setattr__(self, name, m)
 
     @property
     def n_states(self) -> int:

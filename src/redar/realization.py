@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import StateSpace, balanced_truncate, spectral_radius
+from .linalg import StateSpace, _as_matrix, balanced_truncate, spectral_radius
 from .varx import Dataset, VarxModel, _as_samples, fit_varx
 
 __all__ = [
@@ -76,33 +76,16 @@ class IdentifiedModel:
     k: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        if a.ndim != 2:
-            a = np.atleast_2d(a) if a.size else a.reshape(0, 0)
+        a = _as_matrix(self.a, name="Ahat", square=True)
         n = a.shape[0]
-        if a.shape != (n, n):
-            raise DimensionMismatch(f"Ahat must be square, got {a.shape}")
-        b = np.atleast_2d(np.asarray(self.b, dtype=float))
-        c = np.atleast_2d(np.asarray(self.c, dtype=float))
-        k = np.atleast_2d(np.asarray(self.k, dtype=float))
-        d = np.atleast_2d(np.asarray(self.d, dtype=float))
-        if b.shape[0] != n:
-            raise DimensionMismatch(f"Bhat has {b.shape[0]} rows, expected {n}")
-        if c.shape[1] != n:
-            raise DimensionMismatch(f"Chat has {c.shape[1]} columns, expected {n}")
+        b = _as_matrix(self.b, rows=n, name="Bhat")
+        c = _as_matrix(self.c, cols=n, name="Chat")
         n_y = c.shape[0]
-        if k.shape != (n, n_y):
-            raise DimensionMismatch(f"Khat has shape {k.shape}, expected {(n, n_y)}")
-        if d.shape != (n_y, b.shape[1]):
-            raise DimensionMismatch(f"Dhat has shape {d.shape}, expected {(n_y, b.shape[1])}")
+        k = _as_matrix(self.k, n, n_y, "Khat")
+        d = _as_matrix(self.d, n_y, b.shape[1], "Dhat")
         if np.any(d != 0.0):
             raise ValueError("identified models are strictly proper: Dhat must be zero")
-        for name, m in (("Ahat", a), ("Bhat", b), ("Chat", c), ("Khat", k)):
-            if m.size and not np.all(np.isfinite(m)):
-                raise ValueError(f"{name} contains non-finite entries")
-        for name, m in (("a", a), ("b", b), ("c", c), ("d", d), ("k", k)):
-            m = m.copy()
-            m.setflags(write=False)
+        for name, m in dict(a=a, b=b, c=c, d=d, k=k).items():
             object.__setattr__(self, name, m)
 
     @property

@@ -30,6 +30,7 @@ from .errors import (
 )
 from .linalg import (
     StateSpace,
+    _as_matrix,
     kalman_gain,
     solve_discrete_lyapunov,
     solve_discrete_riccati,
@@ -44,23 +45,12 @@ __all__ = [
     "Dims",
     "assemble_closed_loop",
     "noise_to_signal",
-    "stationary_autocovariance_zero",
+    "autocovariance",
     "signal_powers",
     "simulate",
     "random_innovation_model",
     "random_closed_loop",
 ]
-
-
-def _matrix(m, rows, cols, name):
-    a = np.atleast_2d(np.asarray(m, dtype=float))
-    if a.shape != (rows, cols):
-        raise DimensionMismatch(f"{name} has shape {a.shape}, expected {(rows, cols)}")
-    if a.size and not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains non-finite entries")
-    a = a.copy()
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,28 +64,19 @@ class InnovationModel:
     psi: np.ndarray
 
     def __post_init__(self):
-        a = np.atleast_2d(np.asarray(self.a, dtype=float))
+        a = _as_matrix(self.a, name="A", square=True)
         n_x = a.shape[0]
-        if a.shape != (n_x, n_x):
-            raise DimensionMismatch(f"A must be square, got {a.shape}")
-        b = np.atleast_2d(np.asarray(self.b, dtype=float))
-        if b.shape[0] != n_x:
-            raise DimensionMismatch(f"B has {b.shape[0]} rows, expected {n_x}")
-        c = np.atleast_2d(np.asarray(self.c, dtype=float))
-        if c.shape[1] != n_x:
-            raise DimensionMismatch(f"C has {c.shape[1]} columns, expected {n_x}")
+        b = _as_matrix(self.b, rows=n_x, name="B")
+        c = _as_matrix(self.c, cols=n_x, name="C")
         n_y = c.shape[0]
-        k = _matrix(self.k, n_x, n_y, "K")
-        psi = _matrix(self.psi, n_y, n_y, "Psi")
+        k = _as_matrix(self.k, n_x, n_y, "K")
+        psi = _as_matrix(self.psi, n_y, n_y, "Psi")
         if not np.allclose(psi, psi.T, atol=1e-12):
             raise ValueError("Psi must be symmetric")
         if np.linalg.eigvalsh(0.5 * (psi + psi.T)).min() <= 0.0:
             raise ValueError("Psi must be positive definite")
-        object.__setattr__(self, "a", _matrix(a, n_x, n_x, "A"))
-        object.__setattr__(self, "b", _matrix(b, n_x, b.shape[1], "B"))
-        object.__setattr__(self, "c", _matrix(c, n_y, n_x, "C"))
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "psi", psi)
+        for name, m in dict(a=a, b=b, c=c, k=k, psi=psi).items():
+            object.__setattr__(self, name, m)
 
     @property
     def n_x(self) -> int:
@@ -122,26 +103,16 @@ class Controller:
     d2f: np.ndarray
 
     def __post_init__(self):
-        af = np.atleast_2d(np.asarray(self.af, dtype=float))
+        af = _as_matrix(self.af, name="AF", square=True)
         n_s = af.shape[0]
-        if af.shape != (n_s, n_s):
-            raise DimensionMismatch(f"AF must be square, got {af.shape}")
-        b1f = np.atleast_2d(np.asarray(self.b1f, dtype=float))
-        b2f = np.atleast_2d(np.asarray(self.b2f, dtype=float))
-        cf = np.atleast_2d(np.asarray(self.cf, dtype=float))
-        if b1f.shape[0] != n_s or b2f.shape[0] != n_s:
-            raise DimensionMismatch("B1F and B2F must have as many rows as AF")
-        if cf.shape[1] != n_s:
-            raise DimensionMismatch("CF must have as many columns as AF")
+        b1f = _as_matrix(self.b1f, rows=n_s, name="B1F")
+        b2f = _as_matrix(self.b2f, rows=n_s, name="B2F")
+        cf = _as_matrix(self.cf, cols=n_s, name="CF")
         n_y, n_u = b1f.shape[1], cf.shape[0]
-        d1f = _matrix(self.d1f, n_u, n_y, "D1F")
-        d2f = _matrix(self.d2f, n_u, b2f.shape[1], "D2F")
-        object.__setattr__(self, "af", _matrix(af, n_s, n_s, "AF"))
-        object.__setattr__(self, "b1f", _matrix(b1f, n_s, n_y, "B1F"))
-        object.__setattr__(self, "b2f", _matrix(b2f, n_s, d2f.shape[1], "B2F"))
-        object.__setattr__(self, "cf", _matrix(cf, n_u, n_s, "CF"))
-        object.__setattr__(self, "d1f", d1f)
-        object.__setattr__(self, "d2f", d2f)
+        d1f = _as_matrix(self.d1f, n_u, n_y, "D1F")
+        d2f = _as_matrix(self.d2f, n_u, b2f.shape[1], "D2F")
+        for name, m in dict(af=af, b1f=b1f, b2f=b2f, cf=cf, d1f=d1f, d2f=d2f).items():
+            object.__setattr__(self, name, m)
 
     @property
     def n_s(self) -> int:
@@ -293,16 +264,28 @@ def noise_to_signal(cl: ClosedLoop) -> StateSpace:
     return StateSpace(cl.a, b, cl.c_z, d)
 
 
-def stationary_autocovariance_zero(cl: ClosedLoop) -> np.ndarray:
-    """Stationary covariance of z from the closed-loop Lyapunov solve."""
+def autocovariance(cl: ClosedLoop, max_lag: int) -> np.ndarray:
+    """Stationary autocovariances r[0..max_lag] of z = (u, y)."""
+    if max_lag < 0:
+        raise ValueError(f"max_lag must be nonnegative, got {max_lag}")
     j = noise_to_signal(cl)
-    p = solve_discrete_lyapunov(j.a, j.b @ j.b.T)
-    return j.c @ p @ j.c.T + j.d @ j.d.T
+    p_state = solve_discrete_lyapunov(j.a, j.b @ j.b.T)
+    n_z = cl.n_z
+    out = np.empty((max_lag + 1, n_z, n_z))
+    out[0] = j.c @ p_state @ j.c.T + j.d @ j.d.T
+    if max_lag == 0:
+        return out
+    # cross covariance between the state at t+1 and z at t
+    m = j.a @ p_state @ j.c.T + j.b @ j.d.T
+    for t in range(1, max_lag + 1):
+        out[t] = j.c @ m
+        m = j.a @ m
+    return out
 
 
 def signal_powers(cl: ClosedLoop) -> tuple[float, float]:
     """Stationary mean-square powers (E||z||^2, E||e||^2)."""
-    r0 = stationary_autocovariance_zero(cl)
+    r0 = autocovariance(cl, 0)[0]
     return float(np.trace(r0)), float(np.trace(cl.plant.psi))
 
 

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import redar.experiments
 from redar import (
     ClosedLoop,
     Dataset,
     Dims,
+    GenerationFailed,
     IdentifiedModel,
     fit_redar,
     load_dataset_csv,
@@ -303,6 +305,37 @@ class TestExperiment:
         code = run_cli("experiment", "--quiet", "--output-dir", str(tmp_path / "v"))
         assert code == 2
         assert "bound violated" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "error, code", [(GenerationFailed("no loop"), 3), (np.linalg.LinAlgError("singular"), 1)]
+    )
+    def test_failed_seed_keeps_the_others(self, tmp_path, monkeypatch, capsys, error, code):
+        real = redar.experiments.random_closed_loop
+
+        def flaky(dims, target, seed, **kwargs):
+            if seed.entropy[0] == 1:
+                raise error
+            return real(dims, target, seed=seed, **kwargs)
+
+        monkeypatch.setattr("redar.experiments.random_closed_loop", flaky)
+        out_dir = tmp_path / "results"
+        argv = [*TINY_EXPERIMENT, "--seeds", "0,1", "--output-dir", str(out_dir)]
+        assert run_cli("experiment", *argv) == code
+        assert str(error) in capsys.readouterr().err
+        lines = (out_dir / "report.csv").read_text().strip().split("\n")[1:]
+        assert [tuple(line.split(",")[:3]) for line in lines] == [
+            ("0", "64", "ok"),
+            ("0", "128", "ok"),
+            ("1", "64", f"error: {error}"),
+            ("1", "128", f"error: {error}"),
+        ]
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "bound_seed0.csv",
+            "ledger_seed0.txt",
+            "mse_seed0.csv",
+            "report.csv",
+        ]
 
 
 class TestUsageErrors:

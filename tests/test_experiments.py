@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,6 +175,9 @@ class TestReportRendering:
         write_report(path, rows)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == ",".join(REPORT_COLUMNS)
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        documented = re.search(r"stable column\s+order: `([^`]+)`", readme).group(1)
+        assert lines[0] == "".join(documented.split())
         cells = [line.split(",") for line in lines[1:]]
         col = {name: i for i, name in enumerate(REPORT_COLUMNS)}
         assert cells[0][col["expected_bound"]] == "invalid"

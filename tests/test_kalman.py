@@ -8,6 +8,8 @@ from redar import (
     Dataset,
     Dims,
     InnovationModel,
+    MomentSet,
+    NumericalError,
     PredictorUnstable,
     autocovariance,
     exact_moments,
@@ -120,6 +122,14 @@ class TestFiniteHorizonPredictor:
             g_opt, _ = finite_horizon_predictor(dynamic_loop, p)
             resid = np.linalg.norm(m.n - g_opt @ m.q)
             assert resid <= 1e-9 * (1.0 + np.linalg.norm(m.n))
+
+    def test_indefinite_lag_covariance_raises(self, dynamic_loop, monkeypatch):
+        m = exact_moments(dynamic_loop, 2)
+        q = m.q - 2.0 * np.linalg.norm(m.q) * np.eye(m.q.shape[0])
+        indefinite = MomentSet(r=m.r, q=q, n=m.n, p=2)
+        monkeypatch.setattr("redar.kalman.exact_moments", lambda cl, p: indefinite)
+        with pytest.raises(NumericalError, match="not positive definite"):
+            finite_horizon_predictor(dynamic_loop, 2)
 
     def test_realization_shape(self, dynamic_loop):
         g_opt, h_opt = finite_horizon_predictor(dynamic_loop, 5)

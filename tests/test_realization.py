@@ -133,6 +133,25 @@ class TestIdentifiedModel:
         with pytest.raises(ValueError):
             IdentifiedModel(a=[[0.5]], b=[[1.0]], c=[[1.0]], d=[[1.0]], k=[[0.1]])
 
+    @pytest.mark.parametrize(
+        "overrides, error",
+        [
+            ({"a": [[0.5, 0.0]]}, DimensionMismatch),
+            ({"b": [[1.0], [2.0]]}, DimensionMismatch),
+            ({"c": [[1.0, 2.0]]}, DimensionMismatch),
+            ({"k": [[0.1, 0.2]]}, DimensionMismatch),
+            ({"d": [[0.0, 0.0]]}, DimensionMismatch),
+            ({"a": [[np.nan]]}, ValueError),
+            ({"b": [[np.inf]]}, ValueError),
+            ({"c": [[np.nan]]}, ValueError),
+            ({"k": [[np.nan]]}, ValueError),
+        ],
+    )
+    def test_rejects_bad_matrices(self, overrides, error):
+        matrices = {"a": [[0.5]], "b": [[1.0]], "c": [[1.0]], "d": [[0.0]], "k": [[0.1]]}
+        with pytest.raises(error):
+            IdentifiedModel(**{**matrices, **overrides})
+
     def test_predictor_structure(self):
         model = IdentifiedModel(a=[[0.5]], b=[[1.0]], c=[[2.0]], d=[[0.0]], k=[[0.1]])
         pred = model.predictor()

@@ -12,6 +12,7 @@ from redar import (
     InnovationModel,
     Unstable,
     assemble_closed_loop,
+    autocovariance,
     noise_to_signal,
     random_closed_loop,
     random_innovation_model,
@@ -19,7 +20,6 @@ from redar import (
     simulate,
     spectral_radius,
 )
-from redar.systems import stationary_autocovariance_zero
 
 from .oracles import simulate_loop_direct
 from .support import rng_from
@@ -68,6 +68,46 @@ class TestContainers:
                 d1f=np.zeros((1, 1)),
                 d2f=np.eye(1),
             )
+
+    @pytest.mark.parametrize(
+        "overrides, error",
+        [
+            ({"a": [[0.5, 0.0]]}, DimensionMismatch),
+            ({"b": [[1.0], [2.0]]}, DimensionMismatch),
+            ({"c": [[1.0, 2.0]]}, DimensionMismatch),
+            ({"psi": [[1.0, 0.0]]}, DimensionMismatch),
+            ({"a": [[np.nan]]}, ValueError),
+            ({"b": [[np.inf]]}, ValueError),
+            ({"c": [[np.nan]]}, ValueError),
+            ({"k": [[np.nan]]}, ValueError),
+            ({"psi": [[np.nan]]}, ValueError),
+        ],
+    )
+    def test_innovation_model_matrix_checks(self, overrides, error):
+        matrices = {"a": [[0.5]], "b": [[1.0]], "c": [[1.0]], "k": [[0.1]], "psi": [[1.0]]}
+        with pytest.raises(error):
+            InnovationModel(**{**matrices, **overrides})
+
+    @pytest.mark.parametrize(
+        "overrides, error",
+        [
+            ({"af": [[0.5, 0.0]]}, DimensionMismatch),
+            ({"b2f": [[1.0], [2.0]]}, DimensionMismatch),
+            ({"cf": [[1.0, 2.0]]}, DimensionMismatch),
+            ({"d1f": [[1.0, 2.0]]}, DimensionMismatch),
+            ({"d2f": [[1.0, 2.0]]}, DimensionMismatch),
+            ({"af": [[np.nan]]}, ValueError),
+            ({"b1f": [[np.inf]]}, ValueError),
+            ({"d2f": [[np.nan]]}, ValueError),
+        ],
+    )
+    def test_controller_matrix_checks(self, overrides, error):
+        matrices = {
+            "af": [[0.5]], "b1f": [[1.0]], "b2f": [[1.0]],
+            "cf": [[1.0]], "d1f": [[0.0]], "d2f": [[1.0]],
+        }
+        with pytest.raises(error):
+            Controller(**{**matrices, **overrides})
 
     def test_dims_validation(self):
         with pytest.raises(ValueError):
@@ -155,7 +195,7 @@ class TestStationaryLaw:
         assert np.allclose(recovered @ recovered.T, dynamic_loop.plant.psi, atol=1e-10)
 
     def test_r0_matches_monte_carlo(self, dynamic_loop, long_dynamic_traj):
-        r0 = stationary_autocovariance_zero(dynamic_loop)
+        r0 = autocovariance(dynamic_loop, 0)[0]
         z = long_dynamic_traj.z
         sample = z.T @ z / z.shape[0]
         assert np.linalg.norm(sample - r0) <= 0.02 * np.linalg.norm(r0)
