@@ -2,7 +2,9 @@
 
 Loops alternate state order (2..4), memory (p = 4 or 8) and reduction
 budget (phi = 0.05 or 0.2).  Writes one results directory per variant
-plus a merged report, and prints any bound violations.
+plus a merged report, and prints any bound violations.  Exits 2 on a
+violation, otherwise with ``redar``'s exit code for the first failed
+seed's error.
 """
 
 import argparse
@@ -10,6 +12,7 @@ import dataclasses
 from pathlib import Path
 
 from redar import ExperimentConfig, run_experiment, write_outputs, write_report
+from redar.cli import exit_code
 from redar.experiments import find_violations
 
 BASE = ExperimentConfig(
@@ -42,12 +45,14 @@ def main() -> int:
     args = ap.parse_args()
 
     all_rows = []
+    seed_errors = []
     for i in range(args.variants):
         config = variant(i, args.output_dir)
         print(f"variant {i}: n_x={config.n_x} p={config.p} phi={config.phi}")
         result = run_experiment(config, log=print)
         write_outputs(result)
         all_rows.extend(result.rows)
+        seed_errors.extend(result.errors)
     merged = args.output_dir / "report.csv"
     write_report(merged, all_rows)
     print(f"wrote merged report to {merged}")
@@ -60,7 +65,12 @@ def main() -> int:
         )
     errors = [row for row in all_rows if row.status != "ok"]
     print(f"{len(all_rows)} cells, {len(errors)} errors, {len(violations)} violations")
-    return 2 if violations else 0
+    if violations:
+        return 2
+    if seed_errors:
+        print(f"{len(seed_errors)} seed(s) failed, first: {seed_errors[0]}")
+        return exit_code(seed_errors[0])
+    return 0
 
 
 if __name__ == "__main__":

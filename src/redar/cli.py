@@ -43,7 +43,7 @@ from .serialize import (
 from .systems import ClosedLoop, Dims, random_closed_loop, simulate
 from .varx import Dataset
 
-__all__ = ["main"]
+__all__ = ["main", "exit_code"]
 
 BOUND_COLUMNS = (
     "t",
@@ -221,8 +221,17 @@ def _cmd_experiment(args) -> int:
     if result.errors:
         error = result.errors[0]
         print(f"redar: {len(result.errors)} seed(s) failed, first: {error}", file=sys.stderr)
-        return 3 if isinstance(error, GenerationFailed) else 1
+        return exit_code(error)
     return 0
+
+
+def exit_code(exc: Exception) -> int:
+    """The exit code for an error: 3 generation, 4 schema or file, else 1."""
+    if isinstance(exc, GenerationFailed):
+        return 3
+    if isinstance(exc, (SchemaError, OSError)):
+        return 4
+    return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -285,15 +294,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GenerationFailed as exc:
-        print(f"redar: generation failed: {exc}", file=sys.stderr)
-        return 3
-    except (SchemaError, OSError) as exc:
-        print(f"redar: {exc}", file=sys.stderr)
-        return 4
-    except RedarError as exc:
-        print(f"redar: {exc}", file=sys.stderr)
-        return 1
+    except (RedarError, OSError) as exc:
+        code = exit_code(exc)
+        print(f"redar: {'generation failed: ' if code == 3 else ''}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

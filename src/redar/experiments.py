@@ -204,6 +204,13 @@ class ExperimentResult:
         return tuple(o.error for o in self.outcomes if o.error is not None)
 
 
+def _error_row(seed: int, t: int, exc: Exception) -> ReportRow:
+    # the report is plain comma-separated text: keep the message on one
+    # line and free of commas
+    message = " ".join(str(exc).split()).replace(",", ";")
+    return ReportRow(seed=seed, t=t, status=f"error: {message}")
+
+
 def run_seed(config: ExperimentConfig, seed: int, log=None) -> SeedOutcome:
     """Run the full sweep for one seed.
 
@@ -267,7 +274,7 @@ def run_seed(config: ExperimentConfig, seed: int, log=None) -> SeedOutcome:
                 ledger_ref=f"ledger_seed{seed}.txt",
             )
         except (RedarError, np.linalg.LinAlgError) as exc:
-            row = ReportRow(seed=seed, t=t, status=f"error: {exc}")
+            row = _error_row(seed, t, exc)
         say(f"seed {seed} t {t}: {row.status}")
         rows.append(row)
     return SeedOutcome(
@@ -290,7 +297,7 @@ def _run_seed_or_fail(config: ExperimentConfig, seed: int, log) -> SeedOutcome:
     except (RedarError, np.linalg.LinAlgError) as exc:
         if log is not None:
             log(f"seed {seed}: error: {exc}")
-        rows = tuple(ReportRow(seed=seed, t=t, status=f"error: {exc}") for t in config.t_sweep)
+        rows = tuple(_error_row(seed, t, exc) for t in config.t_sweep)
         return SeedOutcome(seed, None, None, None, rows, error=exc)
 
 

@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 
 import redar.experiments
+import redar.kalman
 from redar import (
+    REPORT_COLUMNS,
     ClosedLoop,
     Dataset,
     Dims,
     GenerationFailed,
     IdentifiedModel,
+    MomentSet,
+    Unstable,
     fit_redar,
     load_dataset_csv,
     load_model,
@@ -336,6 +340,35 @@ class TestExperiment:
             "mse_seed0.csv",
             "report.csv",
         ]
+
+    @pytest.mark.parametrize("cause, code", [("retries", 3), ("indefinite", 1)])
+    def test_error_rows_stay_one_csv_line(self, tmp_path, monkeypatch, capsys, cause, code):
+        # running out of retries names the seed's SeedSequence, whose text
+        # spans lines; the oracle's lag covariance message holds a comma
+        if cause == "retries":
+
+            def never(*args):
+                raise Unstable("closed loop not stable")
+
+            monkeypatch.setattr("redar.systems.random_innovation_model", never)
+        else:
+            real = redar.kalman.exact_moments
+
+            def indefinite(cl, p):
+                m = real(cl, p)
+                return MomentSet(r=m.r, q=-m.q, n=m.n, p=p)
+
+            monkeypatch.setattr("redar.kalman.exact_moments", indefinite)
+        out_dir = tmp_path / "results"
+        argv = [*TINY_EXPERIMENT, "--seeds", "0,1", "--output-dir", str(out_dir)]
+        assert run_cli("experiment", *argv) == code
+        lines = (out_dir / "report.csv").read_text().strip().split("\n")
+        assert lines[0] == ",".join(REPORT_COLUMNS)
+        rows = [line.split(",") for line in lines[1:]]
+        assert [row[:2] for row in rows] == [["0", "64"], ["0", "128"], ["1", "64"], ["1", "128"]]
+        for row in rows:
+            assert len(row) == len(REPORT_COLUMNS)
+            assert row[2].startswith("error: ")
 
 
 class TestUsageErrors:
