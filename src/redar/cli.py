@@ -63,14 +63,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(4, f"{self.prog}: error: {message}\n")
 
 
-def _parse_seeds(text: str) -> list[int]:
+def _parse_ints(text: str, flag: str) -> list[int]:
     try:
-        seeds = [int(tok) for tok in text.split(",") if tok.strip()]
+        values = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise SchemaError(f"bad seed list {text!r}") from None
-    if not seeds:
-        raise SchemaError("--seeds must list at least one seed")
-    return seeds
+        raise SchemaError(f"bad {flag} list {text!r}") from None
+    if not values:
+        raise SchemaError(f"{flag} must list at least one value")
+    return values
 
 
 def _cmd_generate(args) -> int:
@@ -79,7 +79,7 @@ def _cmd_generate(args) -> int:
         raise SchemaError("--samples must be at least 2")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for seed in _parse_seeds(args.seeds):
+    for seed in _parse_ints(args.seeds, "--seeds"):
         cl = random_closed_loop(
             dims,
             args.spectral_target,
@@ -148,11 +148,13 @@ def _cmd_bound(args) -> int:
     model = load_model(args.loop)
     if not isinstance(model, ClosedLoop):
         raise SchemaError(f"{args.loop} does not hold a closed-loop model")
-    ts = sorted({int(tok) for tok in args.t.split(",") if tok.strip()})
-    if not ts:
-        raise SchemaError("--t must list at least one sample size")
-    if min(ts) < args.p:
-        raise SchemaError(f"every sample size must be at least p = {args.p}")
+    ts = sorted(set(_parse_ints(args.t, "--t")))
+    # ExperimentConfig holds the range checks; bound runs no hold-out, so
+    # test_length only has to clear p
+    checked = dict(t_sweep=",".join(map(str, ts)), test_length=ts[-1] + 1)
+    for name in ("p", "alpha", "phi", "theta", "hinf_grid", "envelope_grid", "rho_grid"):
+        checked[name] = getattr(args, name)
+    config_from_mapping(checked)
     inputs = bound_inputs(
         model,
         args.p,

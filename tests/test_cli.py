@@ -236,6 +236,24 @@ class TestBound:
     def test_empty_sample_list(self, mild_file):
         assert run_cli("bound", "--loop", str(mild_file), "--t", ",") == 4
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--hinf-grid", "0"),
+            ("--envelope-grid", "0"),
+            ("--rho-grid", "0"),
+            ("--theta", "2"),
+            ("--p", "0"),
+            ("--alpha", "-1"),
+            ("--t", "64,x"),
+        ],
+    )
+    def test_out_of_range_flag_is_a_schema_error(self, mild_file, flag, value):
+        args = {"--t": "64", "--rho-grid": "8", "--envelope-grid": "64", "--hinf-grid": "64"}
+        args[flag] = value
+        flat = [tok for item in args.items() for tok in item]
+        assert run_cli("bound", "--loop", str(mild_file), *flat) == 4
+
     def test_wrong_model_type(self, tmp_path):
         path = tmp_path / "ident.txt"
         save_model(path, IdentifiedModel(a=[[0.5]], b=[[1.0]], c=[[1.0]], k=[[0.1]], d=[[0.0]]))

@@ -8,6 +8,7 @@ from redar import (
     DimensionMismatch,
     NotStabilizable,
     NotStable,
+    NumericalError,
     StateSpace,
     balanced_truncate,
     frequency_response,
@@ -229,6 +230,32 @@ class TestGains:
     def test_hinf_rejects_unstable(self):
         with pytest.raises(NotStable):
             hinf_norm(StateSpace([[1.0]], [[1.0]], [[1.0]], [[0.0]]))
+
+    def test_hinf_brackets_up_from_a_blind_grid(self):
+        # G(z) = 1 - z^-8 vanishes on every point of an 8-point grid, yet
+        # its norm is 2 (at z = exp(i pi / 8) and the other odd multiples)
+        shift = StateSpace(np.eye(8, k=-1), np.eye(8, 1), -np.eye(1, 8, 7), [[1.0]])
+        assert peak_gain(shift, n_points=8) < 1e-12
+        norm = hinf_norm(shift, tol=1e-6, n_grid=8)
+        assert 2.0 <= norm <= 2.0 * (1.0 + 1e-6)
+
+    def test_hinf_pole_on_the_stability_margin_raises(self):
+        # a pole 2e-9 inside the circle puts Hamiltonian eigenvalues inside
+        # the imaginary-axis tolerance at every level
+        with pytest.raises(NumericalError):
+            hinf_norm(StateSpace([[1.0 - 2e-9]], [[1.0]], [[1.0]], [[0.0]]))
+
+    def test_hinf_peak_between_grid_points(self):
+        # lightly damped pair at angle pi/8, halfway between the points of
+        # an 8-point grid; compared with a fine evaluation around the peak
+        r, w = 0.995, np.pi / 8.0
+        a = r * np.array([[np.cos(w), -np.sin(w)], [np.sin(w), np.cos(w)]])
+        sys = StateSpace(a, [[1.0], [0.0]], [[0.0, 1.0]], [[0.0]])
+        theta = np.linspace(w - 0.05, w + 0.05, 200_001)
+        dense = np.abs(frequency_response(sys, np.exp(1j * theta))).max()
+        assert peak_gain(sys, n_points=8) < 0.1 * dense
+        norm = hinf_norm(sys, tol=1e-6, n_grid=8)
+        assert dense <= norm <= dense * (1.0 + 2e-6)
 
 
 class TestHankel:
