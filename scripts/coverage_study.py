@@ -41,9 +41,7 @@ def main() -> int:
     cl = random_closed_loop(
         Dims(2, 1, 1), 0.7, seed=np.random.SeedSequence([args.system_seed, 0])
     )
-    inputs = bound_inputs(
-        cl, args.p, args.alpha, args.phi, n_rho=16, envelope_grid=256, hinf_grid=512
-    )
+    inputs = bound_inputs(cl, args.p, args.alpha, args.phi, n_rho=16)
     bound = model_error_bound(inputs, args.theta, float(args.t))
     print(f"loop xi = {cl.xi!r}, noise gain = {inputs.j_norm!r}")
     print(f"model-error bound at T = {args.t}, theta = {args.theta}: {bound!r}")
@@ -55,7 +53,7 @@ def main() -> int:
         traj = simulate(cl, args.t + args.p, seed=np.random.SeedSequence([trial, 1]))
         ds = Dataset.from_signals(traj.u, traj.y, p=args.p)
         fit = fit_redar(ds, args.alpha, args.phi)
-        err = hinf_norm(parallel_difference(fit.reduced.ss, h_opt.ss), n_grid=256)
+        err = hinf_norm(parallel_difference(fit.reduced.ss, h_opt.ss))
         covered = err <= bound
         hits += covered
         lines.append(f"{trial},{err!r},{'yes' if covered else 'no'}")

@@ -20,8 +20,6 @@ BASE = ExperimentConfig(
     n_y=1,
     t_sweep=tuple(2**k for k in range(8, 15)),
     test_length=10_000,
-    hinf_grid=1024,
-    envelope_grid=512,
     rho_grid=32,
     t0_candidates=8,
 )

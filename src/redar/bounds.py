@@ -101,34 +101,35 @@ class BoundInputs:
         return self.n_u + self.n_y
 
 
-def gain_envelope(h_star: StateSpace, rho: float, n_grid: int = 2048) -> float:
+def _circle_level(h_star: StateSpace, rho: float) -> float:
+    # Peak of ||H*(z)|| on |z| = rho, without the radius guards.
+    return hinf_norm(StateSpace(h_star.a / rho, h_star.b / rho, h_star.c, h_star.d))
+
+
+def gain_envelope(h_star: StateSpace, rho: float) -> float:
     """Certified peak gain of H* on the circle |z| = rho.
 
     That peak is the H-infinity norm of the radius-scaled realization
     (A/rho, B/rho, C, D), so ``hinf_norm`` returns it to within a factor
-    (1 + 1e-6) from above (looser, still above, for rho within about 1e-5
-    of the spectral radius); ``n_grid`` sizes its starting circle grid.  By
-    the maximum principle the level bounds ||H*(z)|| on all of |z| >= rho.
+    (1 + 1e-6) from above.  By the maximum principle the level bounds
+    ||H*(z)|| on all of |z| >= rho.  Raises RhoTooSmall unless rho exceeds
+    the spectral radius of H*, and ValueError unless rho < 1.
     """
     sr = spectral_radius(h_star.a)
     if rho <= sr:
         raise RhoTooSmall(f"rho = {rho} does not exceed the predictor spectral radius {sr:.6g}")
     if not rho < 1.0:
         raise ValueError(f"rho must be below 1, got {rho}")
-    if h_star.n_inputs == 0 or h_star.n_outputs == 0:
-        return 0.0
-    scaled = StateSpace(h_star.a / rho, h_star.b / rho, h_star.c, h_star.d)
-    return hinf_norm(scaled, n_grid=n_grid)
+    return _circle_level(h_star, rho)
 
 
-def optimize_envelope(
-    h_star: StateSpace, p: int, n_rho: int = 64, n_grid: int = 2048
-) -> tuple[float, float]:
+def optimize_envelope(h_star: StateSpace, p: int, n_rho: int = 64) -> tuple[float, float]:
     """Pick the envelope radius minimizing the truncation tail gain.
 
     Scans ``n_rho`` geometrically spaced radii between the predictor
-    spectral radius and 1 and returns (rho, level) minimizing
-    level * rho^{p+1} / (1 - rho).
+    spectral radius (plus 1e-6) and 1 - 1e-6 and returns (rho, level)
+    minimizing level * rho^{p+1} / (1 - rho); each level is the
+    ``gain_envelope`` value at its radius, guarded once for the scan.
     """
     sr = spectral_radius(h_star.a)
     lo, hi = sr + 1e-6, 1.0 - 1e-6
@@ -136,7 +137,7 @@ def optimize_envelope(
         raise RhoTooSmall(f"predictor spectral radius {sr:.9g} leaves no admissible rho")
     best = None
     for rho in np.geomspace(lo, hi, n_rho):
-        level = gain_envelope(h_star, float(rho), n_grid)
+        level = _circle_level(h_star, float(rho))
         objective = level * rho ** (p + 1) / (1.0 - rho)
         if best is None or objective < best[0]:
             best = (objective, float(rho), level)
@@ -476,22 +477,24 @@ def bound_inputs(
     phi: float,
     rho: float | None = None,
     n_rho: int = 64,
-    envelope_grid: int = 2048,
-    hinf_grid: int = 4096,
+    envelope_grid: int | None = None,
+    hinf_grid: int | None = None,
 ) -> BoundInputs:
     """Assemble bound inputs from a closed loop.
 
     Computes the steady-state predictor envelope (optimizing the radius
     unless ``rho`` is given), stationary signal powers, the noise map
-    H-infinity norm and the noise floor xi.
+    H-infinity norm and the noise floor xi.  ``envelope_grid`` and
+    ``hinf_grid`` are deprecated: accepted for existing callers, they
+    change no value or cost.
     """
     h_star = steady_state_predictor(cl.plant)
     if rho is None:
-        rho, level = optimize_envelope(h_star, p, n_rho=n_rho, n_grid=envelope_grid)
+        rho, level = optimize_envelope(h_star, p, n_rho=n_rho)
     else:
-        level = gain_envelope(h_star, rho, n_grid=envelope_grid)
+        level = gain_envelope(h_star, rho)
     z_power_sq, e_power_sq = signal_powers(cl)
-    j_norm = hinf_norm(noise_to_signal(cl), n_grid=hinf_grid)
+    j_norm = hinf_norm(noise_to_signal(cl))
     return BoundInputs(
         level=level,
         rho=rho,

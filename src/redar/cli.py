@@ -155,15 +155,7 @@ def _cmd_bound(args) -> int:
     for name in ("p", "alpha", "phi", "theta", "hinf_grid", "envelope_grid", "rho_grid"):
         checked[name] = getattr(args, name)
     config_from_mapping(checked)
-    inputs = bound_inputs(
-        model,
-        args.p,
-        args.alpha,
-        args.phi,
-        n_rho=args.rho_grid,
-        envelope_grid=args.envelope_grid,
-        hinf_grid=args.hinf_grid,
-    )
+    inputs = bound_inputs(model, args.p, args.alpha, args.phi, n_rho=args.rho_grid)
     target = args.t0_target if args.t0_target is not None else float(max(ts))
     ledger = select_ledger(inputs, target)
     lines = [",".join(BOUND_COLUMNS)]
@@ -236,6 +228,9 @@ def exit_code(exc: Exception) -> int:
     return 1
 
 
+_DEPRECATED_GRID = "deprecated: checked (at least 8) but changes no value or cost"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="redar", description=__doc__.split("\n\n")[1])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -275,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     bound.add_argument("--theta", type=float, default=0.1)
     bound.add_argument("--t", required=True, help="comma-separated sample sizes")
     bound.add_argument("--t0-target", type=float, default=None)
-    bound.add_argument("--hinf-grid", type=int, default=4096)
-    bound.add_argument("--envelope-grid", type=int, default=2048)
+    bound.add_argument("--hinf-grid", type=int, default=4096, help=_DEPRECATED_GRID)
+    bound.add_argument("--envelope-grid", type=int, default=2048, help=_DEPRECATED_GRID)
     bound.add_argument("--rho-grid", type=int, default=64)
     bound.add_argument("--out", default=None, help="bound table CSV (default: stdout)")
     bound.add_argument("--ledger", default=None, help="constant ledger file (default: stdout)")
@@ -286,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--config", default=None, help="flat key = value configuration file")
     exp.add_argument("--quiet", action="store_true")
     for f in fields(ExperimentConfig):
-        exp.add_argument(f"--{f.name.replace('_', '-')}", default=None, help=f"override {f.name}")
+        text = _DEPRECATED_GRID if f.name in ("hinf_grid", "envelope_grid") else None
+        exp.add_argument(f"--{f.name.replace('_', '-')}", help=text or f"override {f.name}")
     exp.set_defaults(func=_cmd_experiment)
     return parser
 

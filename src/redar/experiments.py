@@ -51,7 +51,11 @@ _DEFAULT_SWEEP = (256, 512, 1024, 2048, 4096, 8192, 16384)
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Knobs for one experiment; every field maps to a CLI flag."""
+    """Knobs for one experiment; every field maps to a CLI flag.
+
+    ``hinf_grid`` and ``envelope_grid`` are deprecated: still range-checked
+    so that saved configurations load, they change no value or cost.
+    """
 
     n_x: int = 3
     n_u: int = 2
@@ -227,15 +231,7 @@ def run_seed(config: ExperimentConfig, seed: int, log=None) -> SeedOutcome:
         noise_floor=config.noise_floor,
     )
     say(f"seed {seed}: loop with {cl.n_states} states, xi = {cl.xi:.4g}")
-    inputs = bound_inputs(
-        cl,
-        config.p,
-        config.alpha,
-        config.phi,
-        n_rho=config.rho_grid,
-        envelope_grid=config.envelope_grid,
-        hinf_grid=config.hinf_grid,
-    )
+    inputs = bound_inputs(cl, config.p, config.alpha, config.phi, n_rho=config.rho_grid)
     ledger = select_ledger(inputs, float(max(config.t_sweep)), config.t0_candidates)
     say(f"seed {seed}: t0 = {ledger.t0:.4g}, k = {ledger.k:.4g}")
     _, h_opt = finite_horizon_predictor(cl, config.p)
@@ -253,9 +249,7 @@ def run_seed(config: ExperimentConfig, seed: int, log=None) -> SeedOutcome:
             fit = fit_redar(ds, config.alpha, config.phi)
             yhat = run_predictor(fit.reduced.ss, test_z)
             mse_fit = prediction_mse(test.y, yhat, discard=config.p)
-            hinf_actual = hinf_norm(
-                parallel_difference(fit.reduced.ss, h_opt.ss), n_grid=config.hinf_grid
-            )
+            hinf_actual = hinf_norm(parallel_difference(fit.reduced.ss, h_opt.ss))
             cells = bound_cells(inputs, ledger, config.theta, t)
             row = ReportRow(
                 seed=seed,

@@ -101,10 +101,12 @@ def spectral_radius(a) -> float:
 
 
 def _require_stable(a, what="A"):
-    sr = spectral_radius(a)
+    # Eigenvalues of a nonempty A, after checking its spectral radius.
+    poles = np.linalg.eigvals(a)
+    sr = float(np.max(np.abs(poles)))
     if sr >= 1.0 - STABILITY_MARGIN:
         raise NotStable(f"{what} has spectral radius {sr:.12g}, needs < 1")
-    return sr
+    return poles
 
 
 def solve_discrete_lyapunov(a, w) -> np.ndarray:
@@ -227,13 +229,17 @@ def frequency_response(sys: StateSpace, zs) -> np.ndarray:
     return sys.c @ x + sys.d
 
 
+def _max_gain(sys: StateSpace, theta) -> float:
+    # Largest singular value of G(exp(i theta)) over the given angles.
+    h = frequency_response(sys, np.exp(1j * np.asarray(theta, dtype=float)))
+    return float(np.linalg.svd(h, compute_uv=False)[:, 0].max())
+
+
 def peak_gain(sys: StateSpace, n_points: int = 4096) -> float:
     """Max largest singular value of the response over a unit-circle grid."""
     if sys.n_inputs == 0 or sys.n_outputs == 0:
         return 0.0
-    theta = 2.0 * np.pi * np.arange(n_points) / n_points
-    h = frequency_response(sys, np.exp(1j * theta))
-    return float(np.linalg.svd(h, compute_uv=False)[:, 0].max())
+    return _max_gain(sys, 2.0 * np.pi * np.arange(n_points) / n_points)
 
 
 def _bilinear_to_continuous(sys: StateSpace):
@@ -248,16 +254,13 @@ def _bilinear_to_continuous(sys: StateSpace):
     return ac, np.sqrt(2.0) * bc_half, np.sqrt(2.0) * cc_half, dc
 
 
-def _has_imaginary_eigenvalue(ac, bc, cc, dc, gamma):
-    # True when gamma is at most the norm.  A singular R, or one so ill
-    # conditioned that the Hamiltonian overflows, means gamma <= ||Dc||.
-    m = dc.shape[1]
-    r = gamma * gamma * np.eye(m) - dc.T @ dc
-    try:
-        r_inv_dt = np.linalg.solve(r, dc.T)
-        r_inv_bt = np.linalg.solve(r, bc.T)
-    except np.linalg.LinAlgError:
-        return True
+def _crossing_angles(ac, bc, cc, dc, gamma):
+    # Angles theta = 2 atan(w) in [0, pi] of the Hamiltonian eigenvalues
+    # on (or within the test's reach of) the imaginary axis s = i w: where
+    # a singular value of G equals gamma.  R > 0 as gamma > ||G(-1)||.
+    r = gamma * gamma * np.eye(dc.shape[1]) - dc.T @ dc
+    r_inv_dt = np.linalg.solve(r, dc.T)
+    r_inv_bt = np.linalg.solve(r, bc.T)
     a_loop = ac + bc @ r_inv_dt @ cc
     ham = np.block(
         [
@@ -266,50 +269,51 @@ def _has_imaginary_eigenvalue(ac, bc, cc, dc, gamma):
         ]
     )
     if not np.all(np.isfinite(ham)):
-        return True
+        raise NumericalError(f"the Hamiltonian at level {gamma:.6g} is not finite")
     eig = np.linalg.eigvals(ham)
-    return bool(np.any(np.abs(eig.real) <= 1e-8 * np.maximum(1.0, np.abs(eig))))
+    axis = eig[np.abs(eig.real) <= 1e-8 * np.maximum(1.0, np.abs(eig))]
+    return np.unique(2.0 * np.arctan(np.abs(axis.imag)))
 
 
-def hinf_norm(sys: StateSpace, tol: float = 1e-6, n_grid: int = 4096) -> float:
+def hinf_norm(sys: StateSpace, tol: float = 1e-6) -> float:
     """H-infinity norm of a stable discrete-time system.
 
-    Bisection on the bounded-real characterization (Boyd & Balakrishnan
-    1990; Bruinsma & Steinbuch 1990): gamma exceeds the norm exactly when
-    the Hamiltonian of the bilinear-transformed system has no
-    imaginary-axis eigenvalue.  The peak over an ``n_grid``-point
-    unit-circle grid is a certified lower bound; the upper end starts a
-    factor (1 + tol) above it and widens geometrically until the test
-    clears it, then bisection closes the bracket.
+    Level-set midpoint iteration (Bruinsma & Steinbuch 1990; Boyd &
+    Balakrishnan 1990).  ``lo`` starts as the largest gain at z = 1, z = -1
+    and the pole angles, or the largest Markov-parameter entry (D and
+    C A^(k-1) B, k <= n: Fourier coefficients of G) if larger.  At
+    ``gamma = lo (1 + tol)`` the Hamiltonian of the bilinear-transformed
+    system gives the angles where G's singular values cross gamma; the
+    best gain at those angles and the midpoints between them becomes
+    ``lo`` while it exceeds gamma.  Otherwise gamma is certified: any
+    interval above it would hold a midpoint.
 
     Returns ``g`` with ``true <= g <= true * (1 + tol)``, or exactly 0.0
-    when D and one of B, C are zero.  Poles within about 1e-5 of the unit
-    circle can push ``g`` above that band, never below ``true``; within
-    about 1e-8 no level clears the test and NumericalError is raised.
+    when every Markov parameter is zero.
     """
     if sys.n_inputs == 0 or sys.n_outputs == 0:
         return 0.0
     if sys.n_states == 0:
         return float(np.linalg.svd(sys.d, compute_uv=False)[0])
-    _require_stable(sys.a)
-    if not sys.d.any() and not (sys.b.any() and sys.c.any()):
+    poles = _require_stable(sys.a)
+    krylov = [sys.b]
+    for _ in range(sys.n_states - 1):
+        krylov.append(sys.a @ krylov[-1])
+    markov = max(np.abs(sys.d).max(), np.abs(sys.c @ np.hstack(krylov)).max())
+    if markov == 0.0:
         return 0.0
-    lo = max(peak_gain(sys, n_points=n_grid), 1e-300)
+    start = np.concatenate([[0.0, np.pi], np.abs(np.angle(poles))])
+    lo = max(_max_gain(sys, np.unique(start)), markov)
     cont = _bilinear_to_continuous(sys)
-    gap = tol
-    hi = lo * (1.0 + gap)
-    while _has_imaginary_eigenvalue(*cont, hi):
-        lo, gap = hi, 4.0 * gap
-        hi = lo * (1.0 + gap)
-        if not np.isfinite(hi * hi):
-            raise NumericalError("no finite level clears the H-infinity norm test")
-    while hi - lo > tol * lo:
-        gamma = np.sqrt(lo) * np.sqrt(hi)
-        if _has_imaginary_eigenvalue(*cont, gamma):
-            lo = gamma
-        else:
-            hi = gamma
-    return float(hi)
+    while True:
+        gamma = lo * (1.0 + tol)
+        if not 0.0 < gamma * gamma < np.inf:
+            raise NumericalError(f"level {gamma!r} is out of floating-point range")
+        theta = _crossing_angles(*cont, gamma)
+        mids = 0.5 * (theta[1:] + theta[:-1])
+        if not theta.size or (best := _max_gain(sys, np.concatenate([theta, mids]))) <= gamma:
+            return float(gamma)
+        lo = best
 
 
 def _psd_factor(w):

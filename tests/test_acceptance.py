@@ -148,7 +148,7 @@ def test_04_reduction_certificate_holds(acceptance_report):
         traj = simulate(cl, 1024 + 4, seed=np.random.SeedSequence([seed, 1]))
         ds = Dataset.from_signals(traj.u, traj.y, p=4)
         fit = fit_redar(ds, 1.0, phi)
-        gap = hinf_norm(parallel_difference(fit.full.ss, fit.reduced.ss), n_grid=512)
+        gap = hinf_norm(parallel_difference(fit.full.ss, fit.reduced.ss))
         worst_cert = max(worst_cert, fit.certified_error)
         worst_gap = max(worst_gap, gap)
     ok = worst_cert <= phi and worst_gap <= phi + 1e-6
@@ -172,7 +172,7 @@ def test_05_decay_envelope_bounds_predictor_memory(acceptance_report):
         dims = Dims(2 + seed % 3, 1 + seed % 2, 1 + (seed // 2) % 2)
         plant = random_innovation_model(dims, 0.7, rng)
         h_star = steady_state_predictor(plant)
-        rho, level = optimize_envelope(h_star, p, n_rho=32, n_grid=512)
+        rho, level = optimize_envelope(h_star, p, n_rho=32)
         blocks = predictor_markov_blocks(plant, 50)
         for i in range(1, 51):
             if np.linalg.norm(blocks[i - 1], ord=2) > level * rho**i:
@@ -208,7 +208,7 @@ def test_06_model_error_bound_coverage(acceptance_report, siso_loop):
         traj = simulate(siso_loop, t + p, seed=np.random.SeedSequence([trial, 1]))
         ds = Dataset.from_signals(traj.u, traj.y, p=p)
         fit = fit_redar(ds, alpha, phi)
-        err = hinf_norm(parallel_difference(fit.reduced.ss, h_opt.ss), n_grid=256)
+        err = hinf_norm(parallel_difference(fit.reduced.ss, h_opt.ss))
         worst = max(worst, err)
         hits += err <= bound
     coverage = hits / trials
@@ -248,7 +248,7 @@ def test_07_analytic_kernels_and_moment_extremes(acceptance_report):
     ceiling_bad, floor_bad = 0, 0
     for seed in range(50):
         cl = random_closed_loop(Dims(2, 1, 1), 0.7, seed=np.random.SeedSequence([seed, 0]))
-        j_norm = hinf_norm(noise_to_signal(cl), n_grid=512)
+        j_norm = hinf_norm(noise_to_signal(cl))
         eigs = np.linalg.eigvalsh(exact_moments(cl, p).q)
         if eigs.max() > j_norm**2 * (1.0 + 1e-9):
             ceiling_bad += 1

@@ -70,7 +70,7 @@ class TestGainEnvelope:
     def test_bounds_gain_on_and_outside_circle(self, dynamic_loop):
         h = steady_state_predictor(dynamic_loop.plant)
         rho = spectral_radius(h.a) + 0.1
-        level = gain_envelope(h, rho, n_grid=512)
+        level = gain_envelope(h, rho)
         for radius in (rho, (rho + 1.0) / 2.0, 0.999):
             z = radius * np.exp(2j * np.pi * np.linspace(0.0, 1.0, 1777, endpoint=False))
             gains = np.linalg.norm(frequency_response(h, z), ord=2, axis=(1, 2))
@@ -81,7 +81,7 @@ class TestGainEnvelope:
         # circle makes a peak far narrower than the grid spacing
         h = steady_state_predictor(dynamic_loop.plant)
         rho = spectral_radius(h.a) + 1e-6
-        level = gain_envelope(h, rho, n_grid=512)
+        level = gain_envelope(h, rho)
         z = rho * np.exp(2j * np.pi * np.linspace(0.0, 1.0, 1 << 16, endpoint=False))
         dense = np.linalg.norm(frequency_response(h, z), ord=2, axis=(1, 2)).max()
         assert np.isfinite(level)
@@ -108,18 +108,18 @@ class TestGainEnvelope:
 class TestOptimizeEnvelope:
     def test_admissible_and_reproducible(self, dynamic_loop):
         h = steady_state_predictor(dynamic_loop.plant)
-        rho, level = optimize_envelope(h, 4, n_rho=16, n_grid=512)
+        rho, level = optimize_envelope(h, 4, n_rho=16)
         assert spectral_radius(h.a) < rho < 1.0
-        assert level == gain_envelope(h, rho, n_grid=512)
+        assert level == gain_envelope(h, rho)
 
     def test_beats_scan_endpoints(self, dynamic_loop):
         h = steady_state_predictor(dynamic_loop.plant)
         p = 4
-        rho, level = optimize_envelope(h, p, n_rho=16, n_grid=512)
+        rho, level = optimize_envelope(h, p, n_rho=16)
         best = level * rho ** (p + 1) / (1.0 - rho)
         sr = spectral_radius(h.a)
         for edge in (sr + 1e-6, 1.0 - 1e-6):
-            level_edge = gain_envelope(h, edge, n_grid=512)
+            level_edge = gain_envelope(h, edge)
             assert best <= level_edge * edge ** (p + 1) / (1.0 - edge) * (1.0 + 1e-12)
 
     def test_rejects_marginally_stable_predictor(self):

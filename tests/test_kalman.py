@@ -140,7 +140,7 @@ class TestFiniteHorizonPredictor:
     def test_blocks_approach_steady_state_coefficients(self, dynamic_loop):
         p = 8
         h_star = steady_state_predictor(dynamic_loop.plant)
-        rho, level = optimize_envelope(h_star, p, n_rho=32, n_grid=512)
+        rho, level = optimize_envelope(h_star, p, n_rho=32)
         g_opt, _ = finite_horizon_predictor(dynamic_loop, p)
         markov = predictor_markov_blocks(dynamic_loop.plant, p)
         n_z = dynamic_loop.n_z
@@ -215,6 +215,6 @@ class TestClosedLoopOptimality:
         # the ceiling lambda_max(Q) <= ||J||_inf^2 across fresh random loops
         for seed in range(8):
             cl = random_closed_loop(Dims(2, 1, 1), 0.7, seed=np.random.SeedSequence([seed, 0]))
-            j_norm = hinf_norm(noise_to_signal(cl), n_grid=1024)
+            j_norm = hinf_norm(noise_to_signal(cl))
             m = exact_moments(cl, 3)
             assert np.linalg.eigvalsh(m.q).max() <= j_norm**2 * (1.0 + 1e-9)

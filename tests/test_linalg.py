@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import redar.linalg
 
 from redar import (
     DimensionMismatch,
@@ -15,6 +17,7 @@ from redar import (
     hankel_singular_values,
     hinf_norm,
     kalman_gain,
+    noise_to_signal,
     parallel_difference,
     peak_gain,
     solve_discrete_lyapunov,
@@ -25,6 +28,7 @@ from redar import (
 from .oracles import (
     grid_gain,
     lyapunov_series,
+    refined_peak,
     response_series,
     scalar_dare_fixed_point,
     spectral_radius_roots,
@@ -232,18 +236,32 @@ class TestGains:
             hinf_norm(StateSpace([[1.0]], [[1.0]], [[1.0]], [[0.0]]))
 
     def test_hinf_brackets_up_from_a_blind_grid(self):
-        # G(z) = 1 - z^-8 vanishes on every point of an 8-point grid, yet
-        # its norm is 2 (at z = exp(i pi / 8) and the other odd multiples)
+        # G(z) = 1 - z^-8 vanishes at z = 1, z = -1 and at every pole angle,
+        # yet its norm is 2 (at z = exp(i pi / 8) and the other odd
+        # multiples); the Markov parameter D = 1 puts the first level on
+        # the system's scale.  The gain evaluated at pi / 8 is 2 + 1.6e-15
+        # (roundoff of the resolvent solve), hence the 1e-14 term
         shift = StateSpace(np.eye(8, k=-1), np.eye(8, 1), -np.eye(1, 8, 7), [[1.0]])
         assert peak_gain(shift, n_points=8) < 1e-12
-        norm = hinf_norm(shift, tol=1e-6, n_grid=8)
-        assert 2.0 <= norm <= 2.0 * (1.0 + 1e-6)
+        norm = hinf_norm(shift, tol=1e-6)
+        assert 2.0 <= norm <= 2.0 * (1.0 + 1e-6) * (1.0 + 1e-14)
 
-    def test_hinf_pole_on_the_stability_margin_raises(self):
-        # a pole 2e-9 inside the circle puts Hamiltonian eigenvalues inside
-        # the imaginary-axis tolerance at every level
+    @pytest.mark.parametrize(
+        "a",
+        [1 - 1e-5, 1 - 1e-6, 1 - 1e-7, 1 - 1e-8, 1 - 2e-9, -(1 - 1e-6)],
+        ids=["1-1e-5", "1-1e-6", "1-1e-7", "1-1e-8", "1-2e-9", "-(1-1e-6)"],
+    )
+    def test_hinf_pole_next_to_the_unit_circle(self, a):
+        # 1/(z - a) peaks at 1/delta, delta = 1 - |a|; Hamiltonian
+        # eigenvalues near the axis must not push the value out of band
+        delta = 1.0 - abs(a)
+        norm = hinf_norm(StateSpace([[a]], [[1.0]], [[1.0]], [[0.0]]), tol=1e-6)
+        assert (1.0 - 1e-12) / delta <= norm <= (1.0 + 1e-6) * (1.0 + 1e-12) / delta
+
+    def test_hinf_level_out_of_range_raises(self):
+        # the first level's square overflows
         with pytest.raises(NumericalError):
-            hinf_norm(StateSpace([[1.0 - 2e-9]], [[1.0]], [[1.0]], [[0.0]]))
+            hinf_norm(StateSpace([[0.5]], [[1.0]], [[1.0]], [[1e200]]))
 
     def test_hinf_peak_between_grid_points(self):
         # lightly damped pair at angle pi/8, halfway between the points of
@@ -254,8 +272,40 @@ class TestGains:
         theta = np.linspace(w - 0.05, w + 0.05, 200_001)
         dense = np.abs(frequency_response(sys, np.exp(1j * theta))).max()
         assert peak_gain(sys, n_points=8) < 0.1 * dense
-        norm = hinf_norm(sys, tol=1e-6, n_grid=8)
+        norm = hinf_norm(sys, tol=1e-6)
         assert dense <= norm <= dense * (1.0 + 2e-6)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seeds,
+        st.integers(1, 8),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.booleans(),
+        st.sampled_from([0.5, 0.99, 1.0 - 1e-5]),
+    )
+    def test_hinf_matches_a_refined_dense_peak(self, seed, n, p, m, with_d, target):
+        sys = random_system(rng_from(seed), n, m, p, target=target, with_d=with_d)
+        dense = refined_peak(sys)
+        norm = hinf_norm(sys, tol=1e-6)
+        assert dense * (1.0 - 1e-10) <= norm <= dense * (1.0 + 1e-5)
+
+    @pytest.mark.parametrize("which", ["noise_map", "one_minus_z8"])
+    def test_hinf_evaluates_few_points(self, which, dynamic_loop, monkeypatch):
+        # a dense grid must not come back: count every evaluated point
+        if which == "noise_map":
+            sys = noise_to_signal(dynamic_loop)
+        else:
+            sys = StateSpace(np.eye(8, k=-1), np.eye(8, 1), -np.eye(1, 8, 7), [[1.0]])
+        points = []
+
+        def counting(system, zs):
+            points.append(np.size(zs))
+            return frequency_response(system, zs)
+
+        monkeypatch.setattr(redar.linalg, "frequency_response", counting)
+        hinf_norm(sys)
+        assert 0 < sum(points) <= 64
 
 
 class TestHankel:
