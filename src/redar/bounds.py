@@ -46,8 +46,6 @@ __all__ = [
     "moment_count",
     "element_deviation",
     "hard_floor",
-    "epsilon0",
-    "epsilon1",
     "build_ledger",
     "select_ledger",
     "expected_error_bound",
@@ -184,16 +182,6 @@ def element_deviation(theta: float, t: float, j_norm: float, count: int) -> floa
 def hard_floor(p: int, alpha: float, xi: float) -> float:
     """Smallest admissible sample-size threshold max{2a/xi, p, 4, 2a^2/xi^2}."""
     return max(2.0 * alpha / xi, float(p), 4.0, 2.0 * alpha**2 / xi**2)
-
-
-def epsilon0(j_norm: float, alpha: float, xi: float, t: float) -> float:
-    """Lower integration split point (2 J^2 alpha / (xi^2 T^{1/4}))^2."""
-    return (2.0 * j_norm**2 * alpha / (xi**2 * t**0.25)) ** 2
-
-
-def epsilon1(j_norm: float, alpha: float, t: float) -> float:
-    """Upper integration split point (2 J^2 T / alpha)^2."""
-    return (2.0 * j_norm**2 * t / alpha) ** 2
 
 
 @dataclass(frozen=True)
@@ -345,8 +333,8 @@ def build_ledger(inputs: BoundInputs, t0_candidate: float) -> ConstantLedger:
         c15=c15,
         lam=lam,
         sigma=sigma,
-        epsilon0=epsilon0(inputs.j_norm, alpha, xi, t0),
-        epsilon1=epsilon1(inputs.j_norm, alpha, t0),
+        epsilon0=(2.0 * j2 * alpha / (xi**2 * t0**0.25)) ** 2,
+        epsilon1=(2.0 * j2 * t0 / alpha) ** 2,
         terms=terms,
         t_max=t_max,
         k_terms=k_terms,

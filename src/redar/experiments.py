@@ -110,28 +110,15 @@ def _parse_int_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
 
-_FIELD_PARSERS = {
-    "n_x": int,
-    "n_u": int,
-    "n_y": int,
-    "spectral_target": float,
-    "noise_floor": float,
-    "p": int,
-    "alpha": float,
-    "phi": float,
-    "theta": float,
-    "t_sweep": _parse_int_tuple,
-    "test_length": int,
-    "seeds": _parse_int_tuple,
-    "burn_in": lambda s: None if s in ("", "none") else int(s),
-    "output_dir": str,
-    "hinf_grid": int,
-    "envelope_grid": int,
-    "rho_grid": int,
-    "t0_candidates": int,
+# field annotation (a string, from the __future__ import) -> value parser
+_ANNOTATION_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "tuple[int, ...]": _parse_int_tuple,
+    "int | None": lambda s: None if s in ("", "none") else int(s),
 }
-
-assert set(_FIELD_PARSERS) == {f.name for f in fields(ExperimentConfig)}
+_FIELD_PARSERS = {f.name: _ANNOTATION_PARSERS[f.type] for f in fields(ExperimentConfig)}
 
 
 def config_from_mapping(mapping: dict[str, str], base: ExperimentConfig | None = None) -> ExperimentConfig:

@@ -24,12 +24,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError, PredictorUnstable
-from .linalg import StateSpace, spectral_radius
+from .linalg import StateSpace, markov_parameters, spectral_radius
 from .realization import PredictorRealization, predictor_from_coefficients
 from .systems import ClosedLoop, InnovationModel, autocovariance
+from .varx import solve_normal_equations
 
 __all__ = [
     "CovarianceFloorWarning",
@@ -103,14 +103,13 @@ def finite_horizon_predictor(cl: ClosedLoop, p: int) -> tuple[np.ndarray, Predic
     """Population-optimal lag-p predictor G_opt = N Q^{-1} and its realization."""
     moments = exact_moments(cl, p)
     try:
-        cho = scipy.linalg.cho_factor(moments.q)
+        g_opt = solve_normal_equations(moments.q, moments.n, 0.0)
     except np.linalg.LinAlgError as exc:
         lam = float(np.linalg.eigvalsh(moments.q).min())
         raise NumericalError(
             f"lag covariance not positive definite (lambda_min(Q) = {lam:.6e}, "
             f"lambda_min(Gamma) = {cl.xi:.6e})"
         ) from exc
-    g_opt = scipy.linalg.cho_solve(cho, moments.n.T).T
     h_opt = predictor_from_coefficients(g_opt, p, cl.n_u, cl.n_y)
     return g_opt, h_opt
 
@@ -134,10 +133,4 @@ def predictor_markov_blocks(plant: InnovationModel, count: int) -> np.ndarray:
     """Markov parameters H[i] = C (A - KC)^{i-1} [B K] for i = 1..count."""
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
-    h = steady_state_predictor(plant)
-    out = np.empty((count, plant.n_y, plant.n_u + plant.n_y))
-    m = h.b
-    for i in range(count):
-        out[i] = h.c @ m
-        m = h.a @ m
-    return out
+    return markov_parameters(steady_state_predictor(plant), count + 1)[1:]

@@ -24,7 +24,7 @@ __all__ = [
     "solve_discrete_riccati",
     "kalman_gain",
     "frequency_response",
-    "peak_gain",
+    "markov_parameters",
     "hinf_norm",
     "hankel_singular_values",
     "balanced_truncate",
@@ -229,17 +229,29 @@ def frequency_response(sys: StateSpace, zs) -> np.ndarray:
     return sys.c @ x + sys.d
 
 
+def markov_parameters(sys: StateSpace, count: int) -> np.ndarray:
+    """Impulse response D, CB, CAB, ..., C A^(count-2) B.
+
+    Returns an array of shape ``(count, n_outputs, n_inputs)``; C is
+    applied to the stacked blocks B, AB, ... in one product.
+    """
+    if count < 1:
+        raise ValueError(f"count must be positive, got {count}")
+    krylov = [sys.b]
+    for _ in range(count - 2):
+        krylov.append(sys.a @ krylov[-1])
+    out = np.empty((count,) + sys.d.shape)
+    out[0] = sys.d
+    if count > 1:
+        stacked = sys.c @ np.hstack(krylov)
+        out[1:] = stacked.reshape(sys.n_outputs, count - 1, sys.n_inputs).swapaxes(0, 1)
+    return out
+
+
 def _max_gain(sys: StateSpace, theta) -> float:
     # Largest singular value of G(exp(i theta)) over the given angles.
     h = frequency_response(sys, np.exp(1j * np.asarray(theta, dtype=float)))
     return float(np.linalg.svd(h, compute_uv=False)[:, 0].max())
-
-
-def peak_gain(sys: StateSpace, n_points: int = 4096) -> float:
-    """Max largest singular value of the response over a unit-circle grid."""
-    if sys.n_inputs == 0 or sys.n_outputs == 0:
-        return 0.0
-    return _max_gain(sys, 2.0 * np.pi * np.arange(n_points) / n_points)
 
 
 def _bilinear_to_continuous(sys: StateSpace):
@@ -296,10 +308,7 @@ def hinf_norm(sys: StateSpace, tol: float = 1e-6) -> float:
     if sys.n_states == 0:
         return float(np.linalg.svd(sys.d, compute_uv=False)[0])
     poles = _require_stable(sys.a)
-    krylov = [sys.b]
-    for _ in range(sys.n_states - 1):
-        krylov.append(sys.a @ krylov[-1])
-    markov = max(np.abs(sys.d).max(), np.abs(sys.c @ np.hstack(krylov)).max())
+    markov = np.abs(markov_parameters(sys, sys.n_states + 1)).max()
     if markov == 0.0:
         return 0.0
     start = np.concatenate([[0.0, np.pi], np.abs(np.angle(poles))])

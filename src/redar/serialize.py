@@ -35,9 +35,13 @@ __all__ = [
 
 FORMAT_VERSION = 1
 
-_INNOVATION_FIELDS = ("a", "b", "c", "k", "psi")
-_CONTROLLER_FIELDS = ("af", "b1f", "b2f", "cf", "d1f", "d2f")
-_IDENTIFIED_FIELDS = ("a", "b", "c", "d", "k")
+# type tag -> (class, matrix names in file order); closed loops nest two
+# of these in sections instead of holding matrices
+_MATRIX_MODELS = {
+    "innovation": (InnovationModel, ("a", "b", "c", "k", "psi")),
+    "controller": (Controller, ("af", "b1f", "b2f", "cf", "d1f", "d2f")),
+    "identified": (IdentifiedModel, ("a", "b", "c", "d", "k")),
+}
 
 
 def _format_matrix(name: str, m) -> list[str]:
@@ -49,27 +53,19 @@ def _format_matrix(name: str, m) -> list[str]:
 
 
 def _model_body(model) -> list[str]:
-    if isinstance(model, InnovationModel):
-        lines = ["type innovation"]
-        for name in _INNOVATION_FIELDS:
-            lines += _format_matrix(name, getattr(model, name))
-    elif isinstance(model, Controller):
-        lines = ["type controller"]
-        for name in _CONTROLLER_FIELDS:
-            lines += _format_matrix(name, getattr(model, name))
-    elif isinstance(model, IdentifiedModel):
-        lines = ["type identified"]
-        for name in _IDENTIFIED_FIELDS:
-            lines += _format_matrix(name, getattr(model, name))
-    elif isinstance(model, ClosedLoop):
+    for kind, (cls, names) in _MATRIX_MODELS.items():
+        if isinstance(model, cls):
+            lines = [f"type {kind}"]
+            for name in names:
+                lines += _format_matrix(name, getattr(model, name))
+            return lines
+    if isinstance(model, ClosedLoop):
         lines = ["type closed-loop", "begin plant"]
         lines += _model_body(model.plant)
         lines += ["end", "begin controller"]
         lines += _model_body(model.controller)
-        lines += ["end"]
-    else:
-        raise TypeError(f"cannot serialize {type(model).__name__}")
-    return lines
+        return lines + ["end"]
+    raise TypeError(f"cannot serialize {type(model).__name__}")
 
 
 def dumps_model(model) -> str:
@@ -165,24 +161,17 @@ def _parse_body(parser: _Parser):
     return kind, matrices, sections
 
 
-def _require(parser: _Parser, matrices: dict, fields: tuple[str, ...], kind: str):
-    missing = [f for f in fields if f not in matrices]
-    extra = [f for f in matrices if f not in fields]
-    if missing or extra:
-        parser.fail(f"{kind} model needs matrices {fields}, missing {missing}, extra {extra}")
-
-
 def _build(parser: _Parser):
     block_kind, matrices, sections = _parse_body(parser)
-    if block_kind == "innovation":
-        _require(parser, matrices, _INNOVATION_FIELDS, block_kind)
-        return InnovationModel(**matrices)
-    if block_kind == "controller":
-        _require(parser, matrices, _CONTROLLER_FIELDS, block_kind)
-        return Controller(**matrices)
-    if block_kind == "identified":
-        _require(parser, matrices, _IDENTIFIED_FIELDS, block_kind)
-        return IdentifiedModel(**matrices)
+    if block_kind in _MATRIX_MODELS:
+        cls, names = _MATRIX_MODELS[block_kind]
+        missing = [f for f in names if f not in matrices]
+        extra = [f for f in matrices if f not in names]
+        if missing or extra:
+            parser.fail(
+                f"{block_kind} model needs matrices {names}, missing {missing}, extra {extra}"
+            )
+        return cls(**matrices)
     if block_kind == "closed-loop":
         if matrices or set(sections) != {"plant", "controller"}:
             parser.fail("closed-loop model needs exactly the plant and controller sections")

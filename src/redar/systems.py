@@ -32,6 +32,7 @@ from .linalg import (
     StateSpace,
     _as_matrix,
     kalman_gain,
+    markov_parameters,
     solve_discrete_lyapunov,
     solve_discrete_riccati,
     spectral_radius,
@@ -265,22 +266,20 @@ def noise_to_signal(cl: ClosedLoop) -> StateSpace:
 
 
 def autocovariance(cl: ClosedLoop, max_lag: int) -> np.ndarray:
-    """Stationary autocovariances r[0..max_lag] of z = (u, y)."""
+    """Stationary autocovariances r[0..max_lag] of z = (u, y).
+
+    With P the stationary state covariance of the noise-to-signal
+    realization J, r[t] is Markov parameter t of
+    (J.A, J.A P J.C^T + J.B J.D^T, J.C, r[0]).
+    """
     if max_lag < 0:
         raise ValueError(f"max_lag must be nonnegative, got {max_lag}")
     j = noise_to_signal(cl)
     p_state = solve_discrete_lyapunov(j.a, j.b @ j.b.T)
-    n_z = cl.n_z
-    out = np.empty((max_lag + 1, n_z, n_z))
-    out[0] = j.c @ p_state @ j.c.T + j.d @ j.d.T
-    if max_lag == 0:
-        return out
+    r0 = j.c @ p_state @ j.c.T + j.d @ j.d.T
     # cross covariance between the state at t+1 and z at t
     m = j.a @ p_state @ j.c.T + j.b @ j.d.T
-    for t in range(1, max_lag + 1):
-        out[t] = j.c @ m
-        m = j.a @ m
-    return out
+    return markov_parameters(StateSpace(j.a, m, j.c, r0), max_lag + 1)
 
 
 def signal_powers(cl: ClosedLoop) -> tuple[float, float]:

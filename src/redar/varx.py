@@ -14,7 +14,7 @@ context for the first row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -22,7 +22,6 @@ import scipy.linalg
 from .errors import DimensionMismatch, InsufficientData, OrderMismatch
 
 __all__ = [
-    "LAG_LAYOUT",
     "Dataset",
     "VarxModel",
     "build_regressors",
@@ -32,12 +31,6 @@ __all__ = [
     "fit_from_moments",
     "predict_varx",
 ]
-
-# Lag blocks are stacked most recent first: d[t] = (z[t-1], ..., z[t-p]).
-# Every consumer of coefficient blocks (realization, moment oracles)
-# shares this tag so the layouts cannot drift apart.
-LAG_LAYOUT = "newest-first"
-
 
 def _as_samples(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
@@ -112,7 +105,6 @@ class VarxModel:
     g: np.ndarray
     p: int
     alpha: float
-    lag_layout: str = field(default=LAG_LAYOUT)
 
     def __post_init__(self):
         g = np.atleast_2d(np.asarray(self.g, dtype=float))
@@ -126,8 +118,6 @@ class VarxModel:
             raise ValueError("G contains non-finite entries")
         if not self.alpha > 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.lag_layout != LAG_LAYOUT:
-            raise ValueError(f"unsupported lag layout {self.lag_layout!r}")
         g = g.copy()
         g.setflags(write=False)
         object.__setattr__(self, "g", g)

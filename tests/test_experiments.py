@@ -90,6 +90,16 @@ class TestConfig:
         assert config.burn_in is None
         assert config.alpha == 2.5
 
+    @pytest.mark.parametrize(
+        "field", dataclasses.fields(ExperimentConfig), ids=lambda f: f.name
+    )
+    def test_every_field_round_trips_from_its_default(self, field):
+        default = field.default
+        text = ",".join(map(str, default)) if isinstance(default, tuple) else render_cell(default)
+        parsed = getattr(config_from_mapping({field.name: text}), field.name)
+        assert parsed == default
+        assert type(parsed) is type(default)
+
     def test_mapping_respects_base(self):
         config = config_from_mapping({"output_dir": "elsewhere"}, base=TINY)
         assert config.output_dir == "elsewhere"

@@ -17,9 +17,9 @@ from redar import (
     hankel_singular_values,
     hinf_norm,
     kalman_gain,
+    markov_parameters,
     noise_to_signal,
     parallel_difference,
-    peak_gain,
     solve_discrete_lyapunov,
     solve_discrete_riccati,
     spectral_radius,
@@ -27,6 +27,7 @@ from redar import (
 
 from .oracles import (
     grid_gain,
+    impulse_blocks,
     lyapunov_series,
     refined_peak,
     response_series,
@@ -192,19 +193,28 @@ class TestFrequencyResponse:
         assert np.allclose(h, d)
 
 
+class TestMarkovParameters:
+    @pytest.mark.parametrize("with_d", [False, True], ids=["d_zero", "d_nonzero"])
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_matches_impulse_oracle(self, n, with_d):
+        rng = rng_from(10 * n + with_d)
+        if n:
+            sys = random_system(rng, n, 2, 3, target=0.8, with_d=with_d)
+        else:
+            d = rng.standard_normal((3, 2)) if with_d else np.zeros((3, 2))
+            sys = StateSpace(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((3, 0)), d)
+        for count in sorted({1, 2, n + 1}):
+            blocks = markov_parameters(sys, count)
+            assert blocks.shape == (count, 3, 2)
+            assert np.array_equal(blocks[0], sys.d)
+            assert np.allclose(blocks[1:], impulse_blocks(sys, count - 1), rtol=1e-12, atol=1e-14)
+
+    def test_count_guard(self):
+        with pytest.raises(ValueError):
+            markov_parameters(StateSpace([[0.5]], [[1.0]], [[1.0]], [[0.0]]), 0)
+
+
 class TestGains:
-    def test_peak_gain_scalar_pole(self):
-        # 1/(z - 0.5) peaks at z = 1 with value 2; the grid contains z = 1
-        sys = StateSpace([[0.5]], [[1.0]], [[1.0]], [[0.0]])
-        assert peak_gain(sys) == pytest.approx(2.0, abs=1e-12)
-
-    @given(seeds, st.integers(1, 4))
-    def test_peak_gain_matches_oracle(self, seed, n):
-        sys = random_system(rng_from(seed), n, 2, 2, target=0.6)
-        assert peak_gain(sys, n_points=512) == pytest.approx(
-            grid_gain(sys, n_points=512), rel=1e-9
-        )
-
     def test_hinf_scalar_pole(self):
         sys = StateSpace([[0.5]], [[1.0]], [[1.0]], [[0.0]])
         assert abs(hinf_norm(sys, tol=1e-7) - 2.0) <= 1e-6
@@ -242,7 +252,7 @@ class TestGains:
         # the system's scale.  The gain evaluated at pi / 8 is 2 + 1.6e-15
         # (roundoff of the resolvent solve), hence the 1e-14 term
         shift = StateSpace(np.eye(8, k=-1), np.eye(8, 1), -np.eye(1, 8, 7), [[1.0]])
-        assert peak_gain(shift, n_points=8) < 1e-12
+        assert grid_gain(shift, n_points=8) < 1e-12
         norm = hinf_norm(shift, tol=1e-6)
         assert 2.0 <= norm <= 2.0 * (1.0 + 1e-6) * (1.0 + 1e-14)
 
@@ -271,7 +281,7 @@ class TestGains:
         sys = StateSpace(a, [[1.0], [0.0]], [[0.0, 1.0]], [[0.0]])
         theta = np.linspace(w - 0.05, w + 0.05, 200_001)
         dense = np.abs(frequency_response(sys, np.exp(1j * theta))).max()
-        assert peak_gain(sys, n_points=8) < 0.1 * dense
+        assert grid_gain(sys, n_points=8) < 0.1 * dense
         norm = hinf_norm(sys, tol=1e-6)
         assert dense <= norm <= dense * (1.0 + 2e-6)
 
@@ -340,14 +350,14 @@ class TestBalancedTruncate:
         reduced, certified = balanced_truncate(sys, budget)
         assert certified <= budget
         assert spectral_radius(reduced.a) < 1.0
-        err = peak_gain(parallel_difference(sys, reduced), n_points=512)
+        err = grid_gain(parallel_difference(sys, reduced), n_points=512)
         assert err <= certified * (1.0 + 1e-6) + 1e-10
 
     def test_zero_budget_keeps_everything(self):
         sys = random_system(rng_from(3), 4, 2, 2, target=0.7)
         reduced, certified = balanced_truncate(sys, 0.0)
         assert certified == 0.0
-        assert peak_gain(parallel_difference(sys, reduced), n_points=256) <= 1e-9
+        assert grid_gain(parallel_difference(sys, reduced), n_points=256) <= 1e-9
 
     def test_huge_budget_drops_everything(self):
         sys = random_system(rng_from(4), 4, 2, 2, target=0.7)

@@ -13,7 +13,6 @@ from redar import (
     extract_innovation_form,
     fit_redar,
     parallel_difference,
-    peak_gain,
     predict_with_model,
     prediction_mse,
     reduce_predictor,
@@ -23,7 +22,7 @@ from redar import (
 )
 from redar.realization import predictor_from_coefficients
 
-from .oracles import impulse_blocks
+from .oracles import grid_gain, impulse_blocks
 from .support import rng_from
 
 seeds = st.integers(0, 2**32 - 1)
@@ -116,7 +115,7 @@ class TestExtraction:
         _, h = random_predictor(seed)
         reduced, _ = reduce_predictor(h, 0.05)
         model = extract_innovation_form(reduced)
-        err = peak_gain(parallel_difference(model.predictor(), reduced.ss), n_points=512)
+        err = grid_gain(parallel_difference(model.predictor(), reduced.ss), n_points=512)
         assert err <= 1e-9
 
     def test_order_zero_model(self):
@@ -213,7 +212,7 @@ class TestPipeline:
         assert np.array_equal(fit.full.ss.c, fit.varx.g)
         assert fit.certified_error <= 0.05
         assert fit.reduced.order <= fit.full.order
-        err = peak_gain(parallel_difference(fit.model.predictor(), fit.reduced.ss), n_points=512)
+        err = grid_gain(parallel_difference(fit.model.predictor(), fit.reduced.ss), n_points=512)
         assert err <= 1e-9
 
     def test_huge_budget_predicts_zero(self, dynamic_loop):

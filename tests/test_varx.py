@@ -4,7 +4,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from redar import (
-    LAG_LAYOUT,
     Dataset,
     DimensionMismatch,
     InsufficientData,
@@ -115,8 +114,9 @@ class TestVarxModel:
         with pytest.raises(ValueError):
             VarxModel(g=np.ones((1, 4)), p=2, alpha=0.0)
         with pytest.raises(ValueError):
-            VarxModel(g=np.ones((1, 4)), p=2, alpha=1.0, lag_layout="oldest-first")
-        assert VarxModel(g=np.ones((1, 4)), p=2, alpha=1.0).lag_layout == LAG_LAYOUT
+            VarxModel(g=np.ones((1, 4)), p=0, alpha=1.0)
+        with pytest.raises(ValueError):
+            VarxModel(g=[[1.0, np.nan]], p=1, alpha=1.0)
 
 
 class TestFit:
