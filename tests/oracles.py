@@ -138,6 +138,20 @@ def impulse_blocks(ss, count):
     return out
 
 
+def predictor_loop(ss, z):
+    """State-space recursion one sample at a time, from zero state.
+
+    y[t] = C x[t] + D z[t], then x[t+1] = A x[t] + B z[t].
+    """
+    z = np.asarray(z, dtype=float)
+    x = np.zeros(ss.n_states)
+    out = np.empty((z.shape[0], ss.n_outputs))
+    for t in range(z.shape[0]):
+        out[t] = ss.c @ x + ss.d @ z[t]
+        x = ss.a @ x + ss.b @ z[t]
+    return out
+
+
 def simulate_loop_direct(plant, controller, e, v):
     """Textbook closed-loop recursion over separate plant and controller states.
 

@@ -22,8 +22,8 @@ from redar import (
 )
 from redar.realization import predictor_from_coefficients
 
-from .oracles import grid_gain, impulse_blocks
-from .support import rng_from
+from .oracles import grid_gain, impulse_blocks, predictor_loop
+from .support import random_system, rng_from
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -160,16 +160,43 @@ class TestIdentifiedModel:
 
 
 class TestRunning:
-    @given(seeds, st.integers(0, 18))
+    @given(seeds, st.sampled_from([0, 18, 62, 63, 64, 65, 127, 128, 150, 198]))
     def test_strict_causality(self, seed, s):
+        # 200 samples span three full blocks and a partial one; the bump
+        # sits at, and on both sides of, block starts
         rng = rng_from(seed)
         _, h = random_predictor(seed)
-        z = rng.standard_normal((20, 3))
+        z = rng.standard_normal((200, 3))
         bumped = z.copy()
         bumped[s] += 1.0
         out = run_predictor(h.ss, z)
         out_bumped = run_predictor(h.ss, bumped)
         assert np.array_equal(out[: s + 1], out_bumped[: s + 1])
+
+    @given(
+        seeds,
+        st.integers(0, 20),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.sampled_from([0, 1, 63, 64, 65, 3 * 64 + 5]),
+    )
+    def test_matches_per_sample_loop(self, seed, n, n_in, n_out, length):
+        rng = rng_from(seed)
+        ss = random_system(rng, n, n_in, n_out, target=0.95)
+        z = rng.standard_normal((length, n_in))
+        want = predictor_loop(ss, z)
+        got = run_predictor(ss, z)
+        assert got.shape == want.shape == (length, n_out)
+        scale = max(1.0, float(np.abs(want).max(initial=0.0)))
+        assert np.abs(got - want).max(initial=0.0) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_input(self, bad):
+        _, h = random_predictor(3)
+        z = np.zeros((100, 3))
+        z[70, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            run_predictor(h.ss, z)
 
     def test_input_width_guard(self):
         _, h = random_predictor(6)
