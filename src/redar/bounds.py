@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import InvalidT0, RhoTooSmall, TBelowT0
 from .kalman import steady_state_predictor
-from .linalg import StateSpace, hinf_norm, spectral_radius
+from .linalg import StateSpace, _start_angles, frequency_response, hinf_norm, spectral_radius
 from .systems import ClosedLoop, noise_to_signal, signal_powers
 
 __all__ = [
@@ -99,11 +99,6 @@ class BoundInputs:
         return self.n_u + self.n_y
 
 
-def _circle_level(h_star: StateSpace, rho: float) -> float:
-    # Peak of ||H*(z)|| on |z| = rho, without the radius guards.
-    return hinf_norm(StateSpace(h_star.a / rho, h_star.b / rho, h_star.c, h_star.d))
-
-
 def gain_envelope(h_star: StateSpace, rho: float) -> float:
     """Certified peak gain of H* on the circle |z| = rho.
 
@@ -118,28 +113,52 @@ def gain_envelope(h_star: StateSpace, rho: float) -> float:
         raise RhoTooSmall(f"rho = {rho} does not exceed the predictor spectral radius {sr:.6g}")
     if not rho < 1.0:
         raise ValueError(f"rho must be below 1, got {rho}")
-    return _circle_level(h_star, rho)
+    return hinf_norm(StateSpace(h_star.a / rho, h_star.b / rho, h_star.c, h_star.d))
 
 
 def optimize_envelope(h_star: StateSpace, p: int, n_rho: int = 64) -> tuple[float, float]:
     """Pick the envelope radius minimizing the truncation tail gain.
 
-    Scans ``n_rho`` geometrically spaced radii between the predictor
-    spectral radius (plus 1e-6) and 1 - 1e-6 and returns (rho, level)
-    minimizing level * rho^{p+1} / (1 - rho); each level is the
-    ``gain_envelope`` value at its radius, guarded once for the scan.
+    Over ``n_rho`` geometrically spaced radii between the predictor
+    spectral radius (plus 1e-6) and 1 - 1e-6, returns the (rho, level)
+    minimizing level * rho^{p+1} / (1 - rho), the first on ties, with
+    level the ``gain_envelope`` value at rho.
+
+    Only radii that can still win are certified.  One batched frequency
+    response gives each radius a floor: the largest gain at z = rho
+    e^{i theta} over the start angles of ``hinf_norm``, shrunk by
+    (1 - 1e-9) against roundoff, so it never exceeds the certified level.
+    Radii are certified in ascending order of floor objective until the
+    next floor objective cannot beat the best certified one.  Rounding
+    is monotone, so a skipped radius could not have won, and the result
+    equals the scan that certifies every radius.
     """
-    sr = spectral_radius(h_star.a)
+    if n_rho < 1:
+        raise ValueError("n_rho must be positive")
+    poles = np.linalg.eigvals(h_star.a)
+    sr = float(np.abs(poles).max(initial=0.0))
     lo, hi = sr + 1e-6, 1.0 - 1e-6
     if lo >= hi:
         raise RhoTooSmall(f"predictor spectral radius {sr:.9g} leaves no admissible rho")
-    best = None
-    for rho in np.geomspace(lo, hi, n_rho):
-        level = _circle_level(h_star, float(rho))
-        objective = level * rho ** (p + 1) / (1.0 - rho)
-        if best is None or objective < best[0]:
-            best = (objective, float(rho), level)
-    return best[1], best[2]
+    radii = np.geomspace(lo, hi, n_rho)
+
+    def objective(level, k):
+        return level * radii[k] ** (p + 1) / (1.0 - radii[k])
+
+    theta = _start_angles(poles)
+    gains = frequency_response(h_star, radii[:, None] * np.exp(1j * theta))
+    peaks = np.linalg.svd(gains, compute_uv=False).max(axis=-1, initial=0.0)
+    floor = peaks.reshape(n_rho, theta.size).max(axis=1) * (1.0 - 1e-9)
+    floor_objective = [objective(f, k) for k, f in enumerate(floor)]
+    best, best_level = (math.inf, n_rho), None
+    for k in np.argsort(floor_objective, kind="stable"):
+        if (floor_objective[k], k) > best:
+            break
+        level = gain_envelope(h_star, float(radii[k]))
+        key = (objective(level, k), k)
+        if key < best:
+            best, best_level = key, level
+    return float(radii[best[1]]), best_level
 
 
 def tail_bound(level: float, rho: float, p: int, z_power: float) -> float:

@@ -248,6 +248,12 @@ def markov_parameters(sys: StateSpace, count: int) -> np.ndarray:
     return out
 
 
+def _start_angles(poles) -> np.ndarray:
+    # Sorted unique angles 0, pi and |angle| of each pole: where a gain
+    # peak on the circle is most likely, and where a search starts.
+    return np.unique(np.concatenate([[0.0, np.pi], np.abs(np.angle(poles))]))
+
+
 def _max_gain(sys: StateSpace, theta) -> float:
     # Largest singular value of G(exp(i theta)) over the given angles.
     h = frequency_response(sys, np.exp(1j * np.asarray(theta, dtype=float)))
@@ -311,8 +317,7 @@ def hinf_norm(sys: StateSpace, tol: float = 1e-6) -> float:
     markov = np.abs(markov_parameters(sys, sys.n_states + 1)).max()
     if markov == 0.0:
         return 0.0
-    start = np.concatenate([[0.0, np.pi], np.abs(np.angle(poles))])
-    lo = max(_max_gain(sys, np.unique(start)), markov)
+    lo = max(_max_gain(sys, _start_angles(poles)), markov)
     cont = _bilinear_to_continuous(sys)
     while True:
         gamma = lo * (1.0 + tol)

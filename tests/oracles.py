@@ -2,12 +2,15 @@
 
 Everything here is deliberately written the slow, obvious way (series
 sums, explicit loops, textbook recursions) and shares no code with the
-implementations under test.
+implementations under test; ``envelope_scan_loop`` calls ``hinf_norm``,
+the kernel it is the exhaustive driver of.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from redar import StateSpace, hinf_norm
 
 
 def lyapunov_series(a, w, max_terms=100_000, tol=1e-14):
@@ -198,3 +201,21 @@ def autocovariance_monte_carlo(z, max_lag):
         lag = z[: z.shape[0] - t]
         out[t] = lead.T @ lag / lead.shape[0]
     return out
+
+
+def envelope_scan_loop(h_star, p, n_rho=64):
+    """Envelope radius by certifying every radius of the scan.
+
+    The exhaustive form of ``optimize_envelope``: one ``hinf_norm`` of
+    the radius-scaled realization per radius, keeping the first strict
+    minimum of level * rho^(p+1) / (1 - rho).
+    """
+    sr = float(np.max(np.abs(np.linalg.eigvals(h_star.a)), initial=0.0))
+    best = None
+    for rho in np.geomspace(sr + 1e-6, 1.0 - 1e-6, n_rho):
+        scaled = StateSpace(h_star.a / float(rho), h_star.b / float(rho), h_star.c, h_star.d)
+        level = hinf_norm(scaled)
+        objective = level * rho ** (p + 1) / (1.0 - rho)
+        if best is None or objective < best[0]:
+            best = (objective, float(rho), level)
+    return best[1], best[2]

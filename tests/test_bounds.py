@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import redar.bounds
 from redar import (
     BoundInputs,
+    Dims,
     InvalidT0,
     RhoTooSmall,
     StateSpace,
@@ -23,12 +25,16 @@ from redar import (
     model_error_detail,
     moment_count,
     optimize_envelope,
+    random_closed_loop,
     select_ledger,
     signal_powers,
     spectral_radius,
     steady_state_predictor,
     tail_bound,
 )
+
+from .oracles import envelope_scan_loop
+from .support import random_system, rng_from
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +132,58 @@ class TestOptimizeEnvelope:
         h = StateSpace(a=[[1.0 - 1e-9]], b=[[1.0]], c=[[1.0]], d=[[0.0]])
         with pytest.raises(RhoTooSmall):
             optimize_envelope(h, 4)
+
+    @pytest.mark.parametrize("n_rho", [0, -3])
+    def test_rejects_empty_scan(self, n_rho):
+        with pytest.raises(ValueError, match="n_rho must be positive"):
+            optimize_envelope(scalar_lag(0.5), 4, n_rho=n_rho)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 6),
+        st.integers(1, 4),
+        st.integers(1, 3),
+        st.floats(0.0, 0.999),
+        st.integers(1, 8),
+        st.sampled_from([1, 2, 8, 64]),
+    )
+    # near ties that a floor 1 % too high would settle wrongly
+    @example(2289445491, 3, 1, 3, 0.6739229788599637, 1, 64)
+    @example(4203301314, 5, 1, 1, 0.6691879684584099, 8, 64)
+    @example(3351722847, 4, 4, 3, 0.6095776482539946, 4, 64)
+    def test_matches_exhaustive_scan(self, seed, n, n_in, n_out, target, p, n_rho):
+        h = random_system(rng_from(seed), n, n_in, n_out, target=target)
+        assert optimize_envelope(h, p, n_rho=n_rho) == envelope_scan_loop(h, p, n_rho)
+
+    @staticmethod
+    def counted(monkeypatch):
+        radii = []
+
+        def gain_envelope_counted(h_star, rho):
+            radii.append(rho)
+            return gain_envelope(h_star, rho)
+
+        monkeypatch.setattr(redar.bounds, "gain_envelope", gain_envelope_counted)
+        return radii
+
+    def test_zero_gain_certifies_first_radius_only(self, monkeypatch):
+        h = StateSpace(a=[[0.5, 0.2], [0.0, -0.3]], b=[[1.0], [1.0]], c=[[0.0, 0.0]], d=[[0.0]])
+        radii = self.counted(monkeypatch)
+        rho, level = optimize_envelope(h, 4)
+        assert level == 0.0
+        assert rho == float(np.geomspace(0.5 + 1e-6, 1.0 - 1e-6, 64)[0])
+        assert radii == [rho]
+
+    @pytest.mark.parametrize(
+        "dims", [Dims(3, 2, 2), Dims(2, 1, 1), Dims(6, 2, 2)], ids=["3-2-2", "2-1-1", "6-2-2"]
+    )
+    def test_certifies_few_radii(self, monkeypatch, dims):
+        radii = self.counted(monkeypatch)
+        for seed in range(16):
+            cl = random_closed_loop(dims, 0.7, seed=np.random.SeedSequence([seed, 0]))
+            radii.clear()
+            optimize_envelope(steady_state_predictor(cl.plant), 4)
+            assert 1 <= len(radii) <= 16
 
 
 class TestTailBound:
