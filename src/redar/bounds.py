@@ -83,7 +83,7 @@ class BoundInputs:
     def __post_init__(self):
         if not 0.0 < self.rho < 1.0:
             raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
-        if self.level < 0 or self.z_power < 0 or self.e_power_sq < 0:
+        if not (self.level >= 0 and self.z_power >= 0 and self.e_power_sq >= 0):
             raise ValueError("powers and envelope level must be nonnegative")
         if not self.j_norm > 0 or not self.xi > 0:
             raise ValueError("j_norm and xi must be positive")
@@ -91,7 +91,7 @@ class BoundInputs:
             raise ValueError("p, n_u, n_y must be positive")
         if not self.alpha > 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.phi < 0:
+        if not self.phi >= 0:
             raise ValueError(f"phi must be nonnegative, got {self.phi}")
 
     @property
@@ -165,7 +165,7 @@ def tail_bound(level: float, rho: float, p: int, z_power: float) -> float:
     """Envelope bound on the truncated-memory term, L rho^{p+1}/(1-rho) ||z||."""
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
-    if level < 0 or z_power < 0:
+    if not level >= 0 or not z_power >= 0:
         raise ValueError("level and z_power must be nonnegative")
     if p < 0:
         raise ValueError(f"p must be nonnegative, got {p}")

@@ -16,6 +16,7 @@ code of the first failed seed's error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -27,6 +28,8 @@ from .errors import GenerationFailed, RedarError, SchemaError
 from .experiments import (
     ExperimentConfig,
     config_from_mapping,
+    parse_field,
+    render_bound,
     render_cell,
     run_experiment,
     write_outputs,
@@ -63,28 +66,41 @@ class _Parser(argparse.ArgumentParser):
         self.exit(4, f"{self.prog}: error: {message}\n")
 
 
-def _parse_ints(text: str, flag: str) -> list[int]:
-    try:
-        values = [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise SchemaError(f"bad {flag} list {text!r}") from None
-    if not values:
-        raise SchemaError(f"{flag} must list at least one value")
-    return values
+_DEPRECATED_GRID = "deprecated: checked (at least 8) but changes no value or cost"
+# generate samples seed 0 alone unless --seeds says otherwise
+_GENERATE_BASE = {"seeds": "0"}
+
+
+def _add_config_flags(parser, names, **base: str) -> None:
+    """Add a ``--field-name`` flag per named ExperimentConfig field; it
+    defaults to None (not given) and its help shows the command's default."""
+    for name in names:
+        value = base.get(name, getattr(ExperimentConfig, name))
+        if isinstance(value, tuple):
+            value = ",".join(map(str, value))
+        shown = render_cell(value) or "none"
+        deprecated = f"{_DEPRECATED_GRID}; " if name in ("hinf_grid", "envelope_grid") else ""
+        parser.add_argument(f"--{name.replace('_', '-')}", help=f"{deprecated}default {shown}")
+
+
+def _config(args, base: dict[str, str]) -> ExperimentConfig:
+    """The command's settings: ``base``, then the given flags, range-checked."""
+    given = ((f.name, getattr(args, f.name, None)) for f in fields(ExperimentConfig))
+    return config_from_mapping({**base, **{name: text for name, text in given if text is not None}})
 
 
 def _cmd_generate(args) -> int:
-    dims = Dims(args.n_x, args.n_u, args.n_y)
+    config = _config(args, _GENERATE_BASE)
     if args.data and args.samples < 2:
         raise SchemaError("--samples must be at least 2")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for seed in _parse_ints(args.seeds, "--seeds"):
+    for seed in config.seeds:
         cl = random_closed_loop(
-            dims,
-            args.spectral_target,
+            Dims(config.n_x, config.n_u, config.n_y),
+            config.spectral_target,
             seed=np.random.SeedSequence([seed, 0]),
-            noise_floor=args.noise_floor,
+            noise_floor=config.noise_floor,
         )
         path = out_dir / f"{args.prefix}_seed{seed}.txt"
         save_model(path, cl)
@@ -93,7 +109,7 @@ def _cmd_generate(args) -> int:
         print(f"seed {seed}: joint noise floor xi = {cl.xi!r}")
         if args.data:
             traj = simulate(
-                cl, args.samples, burn_in=args.burn_in, seed=np.random.SeedSequence([seed, 1])
+                cl, args.samples, burn_in=config.burn_in, seed=np.random.SeedSequence([seed, 1])
             )
             data_path = out_dir / f"{args.prefix}_data_seed{seed}.csv"
             save_dataset_csv(data_path, Dataset.from_signals(traj.u, traj.y, p=1))
@@ -104,32 +120,25 @@ def _cmd_generate(args) -> int:
 def _cmd_fit(args) -> int:
     if (args.data is None) == (args.loop is None):
         raise SchemaError("pass exactly one of --data and --loop")
+    # the training and test lengths play t_sweep (at least p) and test_length (above p)
+    config = _config(args, {"t_sweep": str(args.train_t), "test_length": str(args.test_t)})
+    p = config.p
     test = None
     if args.data is not None:
-        ds = load_dataset_csv(args.data, args.p)
+        ds = load_dataset_csv(args.data, p)
     else:
         model = load_model(args.loop)
         if not isinstance(model, ClosedLoop):
             raise SchemaError(f"{args.loop} does not hold a closed-loop model")
-        if args.train_t < 2:
-            raise SchemaError("--train-t must be at least 2")
-        train = simulate(
-            model,
-            args.train_t + args.p,
-            burn_in=args.burn_in,
-            seed=np.random.SeedSequence([args.seed, 1]),
+        train, test = (
+            simulate(model, t, burn_in=config.burn_in, seed=np.random.SeedSequence([args.seed, k]))
+            for t, k in ((args.train_t + p, 1), (args.test_t, 2))
         )
-        ds = Dataset.from_signals(train.u, train.y, p=args.p)
-        test = simulate(
-            model,
-            args.test_t,
-            burn_in=args.burn_in,
-            seed=np.random.SeedSequence([args.seed, 2]),
-        )
-    fit = fit_redar(ds, args.alpha, args.phi)
+        ds = Dataset.from_signals(train.u, train.y, p=p)
+    fit = fit_redar(ds, config.alpha, config.phi)
     save_model(args.out, fit.model)
     yhat = predict_with_model(fit.model, ds.u, ds.y)
-    mse = prediction_mse(ds.y, yhat, discard=args.p)
+    mse = prediction_mse(ds.y, yhat, discard=p)
     print(f"wrote identified model to {args.out}")
     print(f"samples used for regression = {ds.t_count}")
     print(f"full predictor order = {fit.full.order}")
@@ -137,38 +146,36 @@ def _cmd_fit(args) -> int:
     print(f"certified reduction error = {fit.certified_error!r}")
     print(f"training mse = {mse!r}")
     if test is not None:
-        test_mse = prediction_mse(
-            test.y, predict_with_model(fit.model, test.u, test.y), discard=args.p
-        )
+        test_mse = prediction_mse(test.y, predict_with_model(fit.model, test.u, test.y), discard=p)
         print(f"test mse = {test_mse!r}")
     return 0
 
 
 def _cmd_bound(args) -> int:
+    ts = sorted(set(parse_field("t_sweep", args.t)))
+    # bound runs no hold-out, so test_length only has to clear p
+    config = _config(
+        args, {"t_sweep": ",".join(map(str, ts)), "test_length": str(max(ts, default=0) + 1)}
+    )
+    if args.t0_target is not None and not 0 < args.t0_target < math.inf:
+        raise SchemaError(f"--t0-target must be positive and finite, got {args.t0_target}")
     model = load_model(args.loop)
     if not isinstance(model, ClosedLoop):
         raise SchemaError(f"{args.loop} does not hold a closed-loop model")
-    ts = sorted(set(_parse_ints(args.t, "--t")))
-    # ExperimentConfig holds the range checks; bound runs no hold-out, so
-    # test_length only has to clear p
-    checked = dict(t_sweep=",".join(map(str, ts)), test_length=ts[-1] + 1)
-    for name in ("p", "alpha", "phi", "theta", "hinf_grid", "envelope_grid", "rho_grid"):
-        checked[name] = getattr(args, name)
-    config_from_mapping(checked)
-    inputs = bound_inputs(model, args.p, args.alpha, args.phi, n_rho=args.rho_grid)
-    target = args.t0_target if args.t0_target is not None else float(max(ts))
-    ledger = select_ledger(inputs, target)
+    inputs = bound_inputs(model, config.p, config.alpha, config.phi, n_rho=config.rho_grid)
+    target = args.t0_target if args.t0_target is not None else float(ts[-1])
+    ledger = select_ledger(inputs, target, config.t0_candidates)
     lines = [",".join(BOUND_COLUMNS)]
     for t in ts:
-        cells = bound_cells(inputs, ledger, args.theta, t)
+        cells = bound_cells(inputs, ledger, config.theta, t)
         detail = cells.model_error
         lines.append(
             ",".join(
                 [
                     str(t),
                     "yes" if cells.valid else "no",
-                    render_cell(cells.expected) if cells.valid else "invalid",
-                    render_cell(cells.expected_alt) if cells.valid else "invalid",
+                    render_bound(cells.expected, cells.valid),
+                    render_bound(cells.expected_alt, cells.valid),
                     render_cell(detail.value),
                     render_cell(detail.delta),
                     "yes" if detail.small_deviation_branch else "no",
@@ -192,14 +199,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    mapping: dict[str, str] = {}
-    if args.config is not None:
-        mapping.update(load_config(args.config))
-    for f in fields(ExperimentConfig):
-        value = getattr(args, f.name)
-        if value is not None:
-            mapping[f.name] = value
-    config = config_from_mapping(mapping)
+    config = _config(args, load_config(args.config) if args.config is not None else {})
     log = None if args.quiet else print
     result = run_experiment(config, log=log)
     out = write_outputs(result)
@@ -228,25 +228,17 @@ def exit_code(exc: Exception) -> int:
     return 1
 
 
-_DEPRECATED_GRID = "deprecated: checked (at least 8) but changes no value or cost"
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="redar", description=__doc__.split("\n\n")[1])
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="sample random closed loops, one file per seed")
-    gen.add_argument("--seeds", default="0", help="comma-separated seed list")
-    gen.add_argument("--n-x", type=int, default=3)
-    gen.add_argument("--n-u", type=int, default=2)
-    gen.add_argument("--n-y", type=int, default=2)
-    gen.add_argument("--spectral-target", type=float, default=0.7)
-    gen.add_argument("--noise-floor", type=float, default=0.05)
+    names = ("seeds", "n_x", "n_u", "n_y", "spectral_target", "noise_floor", "burn_in")
+    _add_config_flags(gen, names, **_GENERATE_BASE)
     gen.add_argument("--out-dir", required=True, help="directory for the model files")
     gen.add_argument("--prefix", default="loop", help="model file name prefix")
     gen.add_argument("--data", action="store_true", help="also write a trajectory CSV per seed")
     gen.add_argument("--samples", type=int, default=4096, help="trajectory length for --data")
-    gen.add_argument("--burn-in", type=int, default=None)
     gen.set_defaults(func=_cmd_generate)
 
     fit = sub.add_parser("fit", help="identify a model from data")
@@ -255,34 +247,27 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--train-t", type=int, default=4096, help="training samples for --loop")
     fit.add_argument("--test-t", type=int, default=10_000, help="test samples for --loop")
     fit.add_argument("--seed", type=int, default=0, help="simulation seed for --loop")
-    fit.add_argument("--burn-in", type=int, default=None)
-    fit.add_argument("--p", type=int, default=4)
-    fit.add_argument("--alpha", type=float, default=1.0)
-    fit.add_argument("--phi", type=float, default=0.05)
+    _add_config_flags(fit, ("p", "alpha", "phi", "burn_in"))
     fit.add_argument("--out", required=True, help="identified model file to write")
     fit.set_defaults(func=_cmd_fit)
 
     bound = sub.add_parser("bound", help="evaluate error bounds for a stored loop")
     bound.add_argument("--loop", required=True, help="closed-loop model file")
-    bound.add_argument("--p", type=int, default=4)
-    bound.add_argument("--alpha", type=float, default=1.0)
-    bound.add_argument("--phi", type=float, default=0.05)
-    bound.add_argument("--theta", type=float, default=0.1)
+    _add_config_flags(
+        bound, ("p", "alpha", "phi", "theta", "hinf_grid", "envelope_grid", "rho_grid")
+    )
     bound.add_argument("--t", required=True, help="comma-separated sample sizes")
     bound.add_argument("--t0-target", type=float, default=None)
-    bound.add_argument("--hinf-grid", type=int, default=4096, help=_DEPRECATED_GRID)
-    bound.add_argument("--envelope-grid", type=int, default=2048, help=_DEPRECATED_GRID)
-    bound.add_argument("--rho-grid", type=int, default=64)
     bound.add_argument("--out", default=None, help="bound table CSV (default: stdout)")
     bound.add_argument("--ledger", default=None, help="constant ledger file (default: stdout)")
     bound.set_defaults(func=_cmd_bound)
 
     exp = sub.add_parser("experiment", help="run the sweep driver")
-    exp.add_argument("--config", default=None, help="flat key = value configuration file")
+    exp.add_argument(
+        "--config", default=None, help="flat key = value file; its entries replace the defaults"
+    )
     exp.add_argument("--quiet", action="store_true")
-    for f in fields(ExperimentConfig):
-        text = _DEPRECATED_GRID if f.name in ("hinf_grid", "envelope_grid") else None
-        exp.add_argument(f"--{f.name.replace('_', '-')}", help=text or f"override {f.name}")
+    _add_config_flags(exp, [f.name for f in fields(ExperimentConfig)])
     exp.set_defaults(func=_cmd_experiment)
     return parser
 

@@ -44,6 +44,8 @@ __all__ = [
     "write_report",
     "write_outputs",
     "render_cell",
+    "render_bound",
+    "parse_field",
 ]
 
 _DEFAULT_SWEEP = (256, 512, 1024, 2048, 4096, 8192, 16384)
@@ -51,7 +53,9 @@ _DEFAULT_SWEEP = (256, 512, 1024, 2048, 4096, 8192, 16384)
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Knobs for one experiment; every field maps to a CLI flag.
+    """Knobs for one experiment, and the one definition of every run
+    setting: each field maps to a CLI flag of the same name, on every
+    subcommand that takes it, parsed by `parse_field` and checked here.
 
     ``hinf_grid`` and ``envelope_grid`` are deprecated: still range-checked
     so that saved configurations load, they change no value or cost.
@@ -81,11 +85,11 @@ class ExperimentConfig:
             raise ValueError("n_x, n_u, n_y must be positive")
         if not 0.0 < self.spectral_target < 1.0:
             raise ValueError(f"spectral_target must lie in (0, 1), got {self.spectral_target}")
-        if self.noise_floor <= 0:
-            raise ValueError("noise_floor must be positive")
+        if not self.noise_floor > 0:
+            raise ValueError(f"noise_floor must be positive, got {self.noise_floor}")
         if self.p < 1:
             raise ValueError(f"p must be positive, got {self.p}")
-        if self.alpha <= 0 or self.phi < 0:
+        if not self.alpha > 0 or not self.phi >= 0:
             raise ValueError("alpha must be positive and phi nonnegative")
         if not 0.0 < self.theta < 1.0:
             raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
@@ -95,8 +99,8 @@ class ExperimentConfig:
             raise ValueError("t_sweep must be strictly increasing")
         if self.test_length <= self.p:
             raise ValueError("test_length must exceed p")
-        if not self.seeds:
-            raise ValueError("seeds must be nonempty")
+        if not self.seeds or min(self.seeds) < 0:
+            raise ValueError("seeds must be nonempty and nonnegative")
         if self.burn_in is not None and self.burn_in < 0:
             raise ValueError("burn_in must be nonnegative")
         for name in ("hinf_grid", "envelope_grid", "rho_grid"):
@@ -121,18 +125,21 @@ _ANNOTATION_PARSERS = {
 _FIELD_PARSERS = {f.name: _ANNOTATION_PARSERS[f.type] for f in fields(ExperimentConfig)}
 
 
+def parse_field(name: str, text: str):
+    """Parse the text form of one ``ExperimentConfig`` field's value."""
+    parser = _FIELD_PARSERS.get(name)
+    if parser is None:
+        raise SchemaError(f"unknown configuration key {name!r}")
+    try:
+        return parser(text)
+    except ValueError:
+        raise SchemaError(f"bad value for {name!r}: {text!r}") from None
+
+
 def config_from_mapping(mapping: dict[str, str], base: ExperimentConfig | None = None) -> ExperimentConfig:
     """Apply string key/value overrides (config file entries) to a config."""
     base = base if base is not None else ExperimentConfig()
-    updates = {}
-    for key, value in mapping.items():
-        parser = _FIELD_PARSERS.get(key)
-        if parser is None:
-            raise SchemaError(f"unknown configuration key {key!r}")
-        try:
-            updates[key] = parser(value)
-        except ValueError:
-            raise SchemaError(f"bad value for {key!r}: {value!r}") from None
+    updates = {key: parse_field(key, value) for key, value in mapping.items()}
     try:
         return replace(base, **updates)
     except ValueError as exc:
@@ -302,6 +309,12 @@ def render_cell(value) -> str:
     return str(value)
 
 
+def render_bound(value, valid: bool, status: str = "ok") -> str:
+    """Text of an expected-error bound cell: ``invalid`` below the validity
+    threshold t0; an error row keeps its empty cell."""
+    return "invalid" if status == "ok" and not valid else render_cell(value)
+
+
 def write_report(path, rows) -> None:
     """Report CSV with one row per (seed, sample size), stable column order.
 
@@ -309,17 +322,12 @@ def write_report(path, rows) -> None:
     """
     lines = [",".join(REPORT_COLUMNS)]
     for row in rows:
-        cells = []
-        for col in REPORT_COLUMNS:
-            value = getattr(row, col)
-            if (
-                col in ("expected_bound", "expected_bound_alt")
-                and row.status == "ok"
-                and not row.bound_valid
-            ):
-                cells.append("invalid")
-            else:
-                cells.append(render_cell(value))
+        cells = [
+            render_bound(getattr(row, col), row.bound_valid, row.status)
+            if col in ("expected_bound", "expected_bound_alt")
+            else render_cell(getattr(row, col))
+            for col in REPORT_COLUMNS
+        ]
         lines.append(",".join(cells))
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -347,12 +355,7 @@ def write_outputs(result: ExperimentResult, output_dir=None) -> Path:
             out / f"bound_seed{outcome.seed}.csv",
             "bound",
             (
-                (
-                    row.t,
-                    render_cell(row.expected_bound)
-                    if row.bound_valid or row.status != "ok"
-                    else "invalid",
-                )
+                (row.t, render_bound(row.expected_bound, row.bound_valid, row.status))
                 for row in outcome.rows
             ),
         )

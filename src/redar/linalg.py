@@ -361,7 +361,7 @@ def balanced_truncate(sys: StateSpace, budget: float):
     sum.  The feedthrough D is preserved.  ``budget >= 0``; full order
     always satisfies the budget, so the search cannot fail.
     """
-    if budget < 0:
+    if not budget >= 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
     n = sys.n_states
     if n == 0:

@@ -201,7 +201,8 @@ def assemble_closed_loop(plant: InnovationModel, controller: Controller) -> Clos
     """Interconnect plant and controller; raises if the loop is invalid.
 
     Raises Unstable when the loop spectral radius reaches 1 and
-    DegenerateNoise when blockdiag(Psi, D2F D2F^T) is numerically singular.
+    DegenerateNoise when blockdiag(Psi, D2F D2F^T) is numerically singular
+    (``ClosedLoop.xi`` at most 1e-12).
     """
     if controller.n_u != plant.n_u or controller.n_y != plant.n_y:
         raise DimensionMismatch(
@@ -238,14 +239,10 @@ def assemble_closed_loop(plant: InnovationModel, controller: Controller) -> Clos
     sr = spectral_radius(a)
     if sr >= 1.0:
         raise Unstable(f"closed-loop spectral radius is {sr:.6g}")
-    omega = d2f @ d2f.T
-    xi = min(
-        np.linalg.eigvalsh(plant.psi).min(),
-        np.linalg.eigvalsh(omega).min() if omega.size else np.inf,
-    )
-    if xi <= 1e-12:
-        raise DegenerateNoise(f"joint noise covariance has lambda_min {xi:.3e}")
-    return ClosedLoop(plant, controller, a, b_e, b_v, c_z, d_e, d_v)
+    cl = ClosedLoop(plant, controller, a, b_e, b_v, c_z, d_e, d_v)
+    if not cl.xi > 1e-12:
+        raise DegenerateNoise(f"joint noise covariance has lambda_min {cl.xi:.3e}")
+    return cl
 
 
 def _psi_factor(psi):

@@ -206,6 +206,10 @@ class TestTailBound:
             tail_bound(-1.0, 0.5, 3, 1.0)
         with pytest.raises(ValueError):
             tail_bound(1.0, 0.5, -1, 1.0)
+        with pytest.raises(ValueError):
+            tail_bound(math.nan, 0.5, 3, 1.0)
+        with pytest.raises(ValueError):
+            tail_bound(1.0, 0.5, 3, math.nan)
 
 
 class TestMomentCount:
@@ -453,6 +457,14 @@ class TestBoundInputs:
             BoundInputs(1.0, 0.5, 1.0, 1.0, 1.0, 1.0, 1, 1, 1, 0.0, 0.05)
         with pytest.raises(ValueError):
             BoundInputs(1.0, 0.5, 1.0, 1.0, 1.0, 1.0, 1, 1, 1, 1.0, -0.1)
+
+    @pytest.mark.parametrize("index", [0, 2, 3, 10])
+    def test_rejects_nan(self, index):
+        # level, z_power, e_power_sq and phi: NaN fails every range check
+        args = [1.0, 0.5, 1.0, 1.0, 1.0, 1.0, 1, 1, 1, 1.0, 0.05]
+        args[index] = math.nan
+        with pytest.raises(ValueError):
+            BoundInputs(*args)
 
 
 class TestFormatLedger:

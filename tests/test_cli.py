@@ -1,3 +1,6 @@
+import argparse
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,7 +23,8 @@ from redar import (
     save_model,
     simulate,
 )
-from redar.cli import BOUND_COLUMNS, main
+from redar.cli import BOUND_COLUMNS, build_parser, main
+from redar.experiments import ExperimentConfig, parse_field
 from redar.serialize import dumps_model
 
 TINY_EXPERIMENT = [
@@ -387,6 +391,81 @@ class TestExperiment:
         for row in rows:
             assert len(row) == len(REPORT_COLUMNS)
             assert row[2].startswith("error: ")
+
+
+# (command, flag, value): every setting is range-checked before any file
+# is read or written
+BAD_SETTINGS = [
+    ("generate", "--n-x", "0"),
+    ("generate", "--spectral-target", "1.5"),
+    ("generate", "--burn-in", "-2"),
+    ("generate", "--noise-floor", "-1"),
+    ("generate", "--noise-floor", "nan"),
+    ("generate", "--seeds", "-1"),
+    ("fit", "--phi", "-1"),
+    ("fit", "--phi", "nan"),
+    ("fit", "--alpha", "0"),
+    ("fit", "--p", "0"),
+    ("fit", "--train-t", "3"),
+    ("fit", "--test-t", "2"),
+    ("fit", "--burn-in", "-1"),
+    ("fit --data", "--test-t", "2"),
+    ("fit --data", "--train-t", "3"),
+    ("bound", "--phi", "nan"),
+    ("bound", "--t0-target", "0"),
+    ("bound", "--t0-target", "-1"),
+    ("bound", "--t0-target", "nan"),
+    ("bound", "--t0-target", "inf"),
+    ("experiment", "--phi", "nan"),
+    ("experiment", "--alpha", "nan"),
+    ("experiment", "--seeds", "-1"),
+]
+
+
+class TestSettings:
+    @pytest.mark.parametrize("command, flag, value", BAD_SETTINGS)
+    def test_bad_setting_exits_4_and_writes_nothing(
+        self, tmp_path, loop_file, siso_loop, capsys, command, flag, value
+    ):
+        out, ledger, data = tmp_path / "out", tmp_path / "ledger.txt", tmp_path / "data.csv"
+        traj = simulate(siso_loop, 300, seed=np.random.SeedSequence([11, 1]))
+        save_dataset_csv(data, Dataset.from_signals(traj.u, traj.y, p=1))
+        split = ["--train-t", "64", "--test-t", "64", "--out", str(out)]
+        argv = {
+            "generate": ["generate", "--data", "--samples", "64", "--out-dir", str(out)],
+            "fit": ["fit", "--loop", str(loop_file), *split],
+            "fit --data": ["fit", "--data", str(data), *split],
+            "bound": [
+                "bound", "--loop", str(loop_file), "--t", "64", "--rho-grid", "8",
+                "--out", str(out), "--ledger", str(ledger),
+            ],
+            "experiment": ["experiment", *TINY_EXPERIMENT, "--output-dir", str(out)],
+        }[command]
+        assert run_cli(*argv, flag, value) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("redar: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists() and not ledger.exists()
+
+    def test_config_flags_come_from_experiment_config(self):
+        # a flag named after an ExperimentConfig field is parsed and checked
+        # there: it must be a plain string flag that defaults to None, with
+        # its help naming the value the command uses when it is absent
+        names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        sub = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        commands = set()
+        for command, parser in sub.choices.items():
+            for action in parser._actions:
+                if action.dest not in names:
+                    continue
+                commands.add(command)
+                assert action.default is None and action.type is None, (command, action.dest)
+                shown = parse_field(action.dest, action.help.rsplit("default ", 1)[1])
+                base = (0,) if (command, action.dest) == ("generate", "seeds") else None
+                assert shown == (base or getattr(ExperimentConfig, action.dest))
+        assert commands == {"generate", "fit", "bound", "experiment"}
 
 
 class TestUsageErrors:

@@ -19,6 +19,7 @@ from redar.experiments import (
     REPORT_COLUMNS,
     config_from_mapping,
     find_violations,
+    render_bound,
     render_cell,
 )
 
@@ -74,6 +75,12 @@ class TestConfig:
             {"burn_in": -1},
             {"hinf_grid": 4},
             {"t0_candidates": 0},
+            {"alpha": math.nan},
+            {"phi": math.nan},
+            {"noise_floor": math.nan},
+            {"spectral_target": math.nan},
+            {"theta": math.nan},
+            {"seeds": (0, -1)},
         ],
     )
     def test_rejects_bad_fields(self, overrides):
@@ -171,6 +178,13 @@ class TestReportRendering:
         assert render_cell(math.inf) == "inf"
         assert render_cell(0.1) == "0.1"
         assert render_cell(7) == "7"
+
+    @pytest.mark.parametrize(
+        "valid, status, want",
+        [(True, "ok", "2.0"), (False, "ok", "invalid"), (False, "error: boom", "2.0")],
+    )
+    def test_render_bound(self, valid, status, want):
+        assert render_bound(2.0, valid, status) == want
 
     def test_write_report_marks_invalid_cells(self, tmp_path):
         rows = [

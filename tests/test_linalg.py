@@ -376,6 +376,10 @@ class TestBalancedTruncate:
         with pytest.raises(ValueError):
             balanced_truncate(random_system(rng_from(5), 2, 1, 1), -1.0)
 
+    def test_rejects_nan_budget(self):
+        with pytest.raises(ValueError):
+            balanced_truncate(random_system(rng_from(5), 2, 1, 1), float("nan"))
+
 
 class TestParallelDifference:
     @given(seeds)

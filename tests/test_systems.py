@@ -136,6 +136,15 @@ class TestAssemble:
         with pytest.raises(DegenerateNoise):
             assemble_closed_loop(plant, controller)
 
+    @pytest.mark.parametrize("psi, degenerate", [(1e-13, True), (1e-11, False)])
+    def test_degenerate_gate_reads_xi(self, psi, degenerate):
+        plant = InnovationModel(a=[[0.5]], b=[[0.1]], c=[[1.0]], k=[[0.1]], psi=[[psi]])
+        if degenerate:
+            with pytest.raises(DegenerateNoise):
+                assemble_closed_loop(plant, unit_feedthrough_controller(1, 1))
+        else:
+            assert assemble_closed_loop(plant, unit_feedthrough_controller(1, 1)).xi == psi
+
     def test_gamma_block_structure(self, dynamic_loop):
         cl = dynamic_loop
         n_y = cl.n_y
