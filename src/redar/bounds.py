@@ -143,7 +143,7 @@ def optimize_envelope(h_star: StateSpace, p: int, n_rho: int = 64) -> tuple[floa
     radii = np.geomspace(lo, hi, n_rho)
 
     def objective(level, k):
-        return level * radii[k] ** (p + 1) / (1.0 - radii[k])
+        return tail_bound(level, radii[k], p, 1.0)
 
     theta = _start_angles(poles)
     gains = frequency_response(h_star, radii[:, None] * np.exp(1j * theta))
@@ -462,10 +462,11 @@ class BoundCells:
     model_error: ModelErrorDetail
 
 
-def bound_cells(inputs: BoundInputs, ledger: ConstantLedger, theta: float, t: float) -> BoundCells:
+def bound_cells(ledger: ConstantLedger, theta: float, t: float) -> BoundCells:
     """Model-error bound and, from t0 on, the primary and squared-tail
-    expected-error bounds at sample size ``t``."""
+    expected-error bounds at sample size ``t``, for the ledger's inputs."""
     t = float(t)
+    inputs = ledger.inputs
     detail = model_error_detail(inputs, theta, t)
     if not t >= ledger.t0:
         return BoundCells(False, None, None, detail)
@@ -482,24 +483,19 @@ def bound_inputs(
     p: int,
     alpha: float,
     phi: float,
-    rho: float | None = None,
     n_rho: int = 64,
     envelope_grid: int | None = None,
     hinf_grid: int | None = None,
 ) -> BoundInputs:
     """Assemble bound inputs from a closed loop.
 
-    Computes the steady-state predictor envelope (optimizing the radius
-    unless ``rho`` is given), stationary signal powers, the noise map
+    Computes the steady-state predictor envelope at the radius chosen by
+    ``optimize_envelope``, stationary signal powers, the noise map
     H-infinity norm and the noise floor xi.  ``envelope_grid`` and
     ``hinf_grid`` are deprecated: accepted for existing callers, they
     change no value or cost.
     """
-    h_star = steady_state_predictor(cl.plant)
-    if rho is None:
-        rho, level = optimize_envelope(h_star, p, n_rho=n_rho)
-    else:
-        level = gain_envelope(h_star, rho)
+    rho, level = optimize_envelope(steady_state_predictor(cl.plant), p, n_rho=n_rho)
     z_power_sq, e_power_sq = signal_powers(cl)
     j_norm = hinf_norm(noise_to_signal(cl))
     return BoundInputs(

@@ -32,6 +32,7 @@ from .experiments import (
     render_bound,
     render_cell,
     run_experiment,
+    seed_loop,
     write_outputs,
 )
 from .linalg import spectral_radius
@@ -43,7 +44,7 @@ from .serialize import (
     save_dataset_csv,
     save_model,
 )
-from .systems import ClosedLoop, Dims, random_closed_loop, simulate
+from .systems import ClosedLoop, simulate
 from .varx import Dataset
 
 __all__ = ["main", "exit_code"]
@@ -67,6 +68,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 _DEPRECATED_GRID = "deprecated: checked (at least 8) but changes no value or cost"
+# what a config flag's help says before its default, where the name is not enough
+_HELP = {
+    "hinf_grid": _DEPRECATED_GRID,
+    "envelope_grid": _DEPRECATED_GRID,
+    "burn_in": "steps simulated and dropped first; none means ceil(10 / (1 - rho(A)))",
+}
 # generate samples seed 0 alone unless --seeds says otherwise
 _GENERATE_BASE = {"seeds": "0"}
 
@@ -79,14 +86,32 @@ def _add_config_flags(parser, names, **base: str) -> None:
         if isinstance(value, tuple):
             value = ",".join(map(str, value))
         shown = render_cell(value) or "none"
-        deprecated = f"{_DEPRECATED_GRID}; " if name in ("hinf_grid", "envelope_grid") else ""
-        parser.add_argument(f"--{name.replace('_', '-')}", help=f"{deprecated}default {shown}")
+        about = f"{_HELP[name]}; " if name in _HELP else ""
+        parser.add_argument(_flag(name), help=f"{about}default {shown}")
+
+
+def _flag(name: str) -> str:
+    return f"--{name.replace('_', '-')}"
+
+
+def _given(args) -> dict[str, str]:
+    """The config flags on the command line, by field name."""
+    values = ((f.name, getattr(args, f.name, None)) for f in fields(ExperimentConfig))
+    return {name: text for name, text in values if text is not None}
+
+
+def _named_by_flag(exc: SchemaError, args) -> SchemaError:
+    """``exc`` with the setting it starts with renamed to the flag that set
+    it: ``--field-name``, or the flag in ``args.flags`` that the command
+    reads that setting from."""
+    flags = {**getattr(args, "flags", {}), **{name: _flag(name) for name in _given(args)}}
+    name, _, rest = str(exc).partition(" ")
+    return SchemaError(f"{flags[name]} {rest}") if name in flags else exc
 
 
 def _config(args, base: dict[str, str]) -> ExperimentConfig:
     """The command's settings: ``base``, then the given flags, range-checked."""
-    given = ((f.name, getattr(args, f.name, None)) for f in fields(ExperimentConfig))
-    return config_from_mapping({**base, **{name: text for name, text in given if text is not None}})
+    return config_from_mapping({**base, **_given(args)})
 
 
 def _cmd_generate(args) -> int:
@@ -96,12 +121,7 @@ def _cmd_generate(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for seed in config.seeds:
-        cl = random_closed_loop(
-            Dims(config.n_x, config.n_u, config.n_y),
-            config.spectral_target,
-            seed=np.random.SeedSequence([seed, 0]),
-            noise_floor=config.noise_floor,
-        )
+        cl = seed_loop(config, seed)
         path = out_dir / f"{args.prefix}_seed{seed}.txt"
         save_model(path, cl)
         print(f"wrote closed loop to {path}")
@@ -167,7 +187,7 @@ def _cmd_bound(args) -> int:
     ledger = select_ledger(inputs, target, config.t0_candidates)
     lines = [",".join(BOUND_COLUMNS)]
     for t in ts:
-        cells = bound_cells(inputs, ledger, config.theta, t)
+        cells = bound_cells(ledger, config.theta, t)
         detail = cells.model_error
         lines.append(
             ",".join(
@@ -249,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--seed", type=int, default=0, help="simulation seed for --loop")
     _add_config_flags(fit, ("p", "alpha", "phi", "burn_in"))
     fit.add_argument("--out", required=True, help="identified model file to write")
-    fit.set_defaults(func=_cmd_fit)
+    fit.set_defaults(func=_cmd_fit, flags={"t_sweep": "--train-t", "test_length": "--test-t"})
 
     bound = sub.add_parser("bound", help="evaluate error bounds for a stored loop")
     bound.add_argument("--loop", required=True, help="closed-loop model file")
@@ -260,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     bound.add_argument("--t0-target", type=float, default=None)
     bound.add_argument("--out", default=None, help="bound table CSV (default: stdout)")
     bound.add_argument("--ledger", default=None, help="constant ledger file (default: stdout)")
-    bound.set_defaults(func=_cmd_bound)
+    bound.set_defaults(func=_cmd_bound, flags={"t_sweep": "--t"})
 
     exp = sub.add_parser("experiment", help="run the sweep driver")
     exp.add_argument(
@@ -278,6 +298,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (RedarError, OSError) as exc:
+        if isinstance(exc, SchemaError):
+            exc = _named_by_flag(exc, args)
         code = exit_code(exc)
         print(f"redar: {'generation failed: ' if code == 3 else ''}{exc}", file=sys.stderr)
         return code

@@ -13,7 +13,7 @@ validity threshold are marked invalid rather than dropped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,7 @@ from .errors import RedarError, SchemaError
 from .kalman import finite_horizon_predictor
 from .linalg import hinf_norm, parallel_difference
 from .realization import fit_redar, prediction_mse, run_predictor
-from .systems import Dims, random_closed_loop, simulate
+from .systems import ClosedLoop, Dims, random_closed_loop, simulate
 from .varx import Dataset
 
 __all__ = [
@@ -39,6 +39,7 @@ __all__ = [
     "SeedOutcome",
     "ExperimentResult",
     "REPORT_COLUMNS",
+    "seed_loop",
     "run_seed",
     "run_experiment",
     "write_report",
@@ -81,24 +82,30 @@ class ExperimentConfig:
     t0_candidates: int = 16
 
     def __post_init__(self):
-        if self.n_x < 1 or self.n_u < 1 or self.n_y < 1:
-            raise ValueError("n_x, n_u, n_y must be positive")
+        # every message starts with the name of the field it is about
+        for name in ("n_x", "n_u", "n_y"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0.0 < self.spectral_target < 1.0:
             raise ValueError(f"spectral_target must lie in (0, 1), got {self.spectral_target}")
         if not self.noise_floor > 0:
             raise ValueError(f"noise_floor must be positive, got {self.noise_floor}")
         if self.p < 1:
             raise ValueError(f"p must be positive, got {self.p}")
-        if not self.alpha > 0 or not self.phi >= 0:
-            raise ValueError("alpha must be positive and phi nonnegative")
+        if not self.alpha > 0:
+            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not self.phi >= 0:
+            raise ValueError(f"phi must be nonnegative, got {self.phi}")
         if not 0.0 < self.theta < 1.0:
             raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
-        if not self.t_sweep or any(t < self.p for t in self.t_sweep):
-            raise ValueError("t_sweep must be nonempty with every entry at least p")
+        if not self.t_sweep:
+            raise ValueError("t_sweep must be nonempty")
+        if min(self.t_sweep) < self.p:
+            raise ValueError(f"t_sweep must be at least p = {self.p}, got {min(self.t_sweep)}")
         if list(self.t_sweep) != sorted(set(self.t_sweep)):
             raise ValueError("t_sweep must be strictly increasing")
         if self.test_length <= self.p:
-            raise ValueError("test_length must exceed p")
+            raise ValueError(f"test_length must exceed p = {self.p}, got {self.test_length}")
         if not self.seeds or min(self.seeds) < 0:
             raise ValueError("seeds must be nonempty and nonnegative")
         if self.burn_in is not None and self.burn_in < 0:
@@ -115,33 +122,33 @@ def _parse_int_tuple(text: str) -> tuple[int, ...]:
 
 
 # field annotation (a string, from the __future__ import) -> value parser
+# and what it reads
 _ANNOTATION_PARSERS = {
-    "int": int,
-    "float": float,
-    "str": str,
-    "tuple[int, ...]": _parse_int_tuple,
-    "int | None": lambda s: None if s in ("", "none") else int(s),
+    "int": (int, "an integer"),
+    "float": (float, "a number"),
+    "str": (str, "text"),
+    "tuple[int, ...]": (_parse_int_tuple, "comma-separated integers"),
+    "int | None": (lambda s: None if s in ("", "none") else int(s), "an integer or none"),
 }
 _FIELD_PARSERS = {f.name: _ANNOTATION_PARSERS[f.type] for f in fields(ExperimentConfig)}
 
 
 def parse_field(name: str, text: str):
     """Parse the text form of one ``ExperimentConfig`` field's value."""
-    parser = _FIELD_PARSERS.get(name)
-    if parser is None:
+    if name not in _FIELD_PARSERS:
         raise SchemaError(f"unknown configuration key {name!r}")
+    parser, kind = _FIELD_PARSERS[name]
     try:
         return parser(text)
     except ValueError:
-        raise SchemaError(f"bad value for {name!r}: {text!r}") from None
+        raise SchemaError(f"{name} takes {kind}, got {text!r}") from None
 
 
-def config_from_mapping(mapping: dict[str, str], base: ExperimentConfig | None = None) -> ExperimentConfig:
-    """Apply string key/value overrides (config file entries) to a config."""
-    base = base if base is not None else ExperimentConfig()
+def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
+    """The default config with string key/value overrides (config file entries)."""
     updates = {key: parse_field(key, value) for key, value in mapping.items()}
     try:
-        return replace(base, **updates)
+        return ExperimentConfig(**updates)
     except ValueError as exc:
         raise SchemaError(str(exc)) from None
 
@@ -209,21 +216,26 @@ def _error_row(seed: int, t: int, exc: Exception) -> ReportRow:
     return ReportRow(seed=seed, t=t, status=f"error: {message}")
 
 
+def seed_loop(config: ExperimentConfig, seed: int) -> ClosedLoop:
+    """The closed loop of a seed: drawn from its spawn stream 0."""
+    return random_closed_loop(
+        Dims(config.n_x, config.n_u, config.n_y),
+        config.spectral_target,
+        seed=np.random.SeedSequence([seed, 0]),
+        noise_floor=config.noise_floor,
+    )
+
+
 def run_seed(config: ExperimentConfig, seed: int, log=None) -> SeedOutcome:
     """Run the full sweep for one seed.
 
     System, training and test randomness come from independent spawn
-    streams of the seed, so changing the sweep or test length never
-    changes the sampled system.
+    streams 0, 1 and 2 of the seed, so changing the sweep or test length
+    never changes the sampled system.
     """
     say = log if log is not None else lambda *_: None
-    system_seed, train_seed, test_seed = (np.random.SeedSequence([seed, k]) for k in range(3))
-    cl = random_closed_loop(
-        Dims(config.n_x, config.n_u, config.n_y),
-        config.spectral_target,
-        seed=system_seed,
-        noise_floor=config.noise_floor,
-    )
+    train_seed, test_seed = (np.random.SeedSequence([seed, k]) for k in (1, 2))
+    cl = seed_loop(config, seed)
     say(f"seed {seed}: loop with {cl.n_states} states, xi = {cl.xi:.4g}")
     inputs = bound_inputs(cl, config.p, config.alpha, config.phi, n_rho=config.rho_grid)
     ledger = select_ledger(inputs, float(max(config.t_sweep)), config.t0_candidates)
@@ -244,7 +256,7 @@ def run_seed(config: ExperimentConfig, seed: int, log=None) -> SeedOutcome:
             yhat = run_predictor(fit.reduced.ss, test_z)
             mse_fit = prediction_mse(test.y, yhat, discard=config.p)
             hinf_actual = hinf_norm(parallel_difference(fit.reduced.ss, h_opt.ss))
-            cells = bound_cells(inputs, ledger, config.theta, t)
+            cells = bound_cells(ledger, config.theta, t)
             row = ReportRow(
                 seed=seed,
                 t=t,
@@ -337,14 +349,15 @@ def _write_curve(path, header: str, pairs) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_outputs(result: ExperimentResult, output_dir=None) -> Path:
-    """Write report.csv, per-seed ledgers and per-seed plot data.
+def write_outputs(result: ExperimentResult) -> Path:
+    """Write report.csv, per-seed ledgers and per-seed plot data to the
+    config's ``output_dir``.
 
     Plot data is two two-column files per seed: sample size against the
     expected-error bound and against the empirical test error.  Seeds
     whose set-up failed get report rows only.
     """
-    out = Path(output_dir if output_dir is not None else result.config.output_dir)
+    out = Path(result.config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_report(out / "report.csv", result.rows)
     for outcome in result.outcomes:

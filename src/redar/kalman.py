@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, PredictorUnstable
-from .linalg import StateSpace, markov_parameters, spectral_radius
+from .linalg import STABILITY_MARGIN, StateSpace, markov_parameters, spectral_radius
 from .realization import PredictorRealization, predictor_from_coefficients
 from .systems import ClosedLoop, InnovationModel, autocovariance
 from .varx import solve_normal_equations
@@ -60,7 +60,6 @@ class MomentSet:
     r: np.ndarray  # (p + 1, n_z, n_z), r[t] = E[z[t] z[0]^T]
     q: np.ndarray  # (p n_z, p n_z) lag covariance, block Toeplitz
     n: np.ndarray  # (n_y, p n_z) target-lag cross covariance
-    p: int
 
     @property
     def n_z(self) -> int:
@@ -96,7 +95,7 @@ def exact_moments(cl: ClosedLoop, p: int) -> MomentSet:
             CovarianceFloorWarning,
             stacklevel=2,
         )
-    return MomentSet(r=r, q=q, n=n, p=p)
+    return MomentSet(r=r, q=q, n=n)
 
 
 def finite_horizon_predictor(cl: ClosedLoop, p: int) -> tuple[np.ndarray, PredictorRealization]:
@@ -122,7 +121,7 @@ def steady_state_predictor(plant: InnovationModel) -> StateSpace:
     """
     a_pred = plant.a - plant.k @ plant.c
     sr = spectral_radius(a_pred)
-    if sr >= 1.0 - 1e-9:
+    if sr >= 1.0 - STABILITY_MARGIN:
         raise PredictorUnstable(f"rho(A - KC) = {sr:.9g}, needs < 1")
     b = np.hstack([plant.b, plant.k])
     d = np.zeros((plant.n_y, plant.n_u + plant.n_y))

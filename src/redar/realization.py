@@ -51,25 +51,23 @@ class PredictorRealization:
     """State-space predictor fed by z = (u, y); kind is full or reduced."""
 
     ss: StateSpace
-    n_u: int
-    n_y: int
     kind: str
 
     def __post_init__(self):
         if self.kind not in ("full", "reduced"):
             raise ValueError(f"kind must be 'full' or 'reduced', got {self.kind!r}")
-        if self.ss.n_inputs != self.n_u + self.n_y:
-            raise DimensionMismatch(
-                f"predictor has {self.ss.n_inputs} inputs, expected {self.n_u + self.n_y}"
-            )
-        if self.ss.n_outputs != self.n_y:
-            raise DimensionMismatch(
-                f"predictor has {self.ss.n_outputs} outputs, expected {self.n_y}"
-            )
 
     @property
     def order(self) -> int:
         return self.ss.n_states
+
+    @property
+    def n_u(self) -> int:
+        return self.ss.n_inputs - self.ss.n_outputs
+
+    @property
+    def n_y(self) -> int:
+        return self.ss.n_outputs
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,7 +128,7 @@ def predictor_from_coefficients(g, p: int, n_u: int, n_y: int) -> PredictorReali
     b = np.zeros((n, n_z))
     b[:n_z] = np.eye(n_z)
     d = np.zeros((n_y, n_z))
-    return PredictorRealization(StateSpace(a, b, g, d), n_u, n_y, kind="full")
+    return PredictorRealization(StateSpace(a, b, g, d), kind="full")
 
 
 def varx_to_predictor(model: VarxModel, n_u: int, n_y: int) -> PredictorRealization:
@@ -150,7 +148,7 @@ def reduce_predictor(h_full: PredictorRealization, phi: float) -> tuple[Predicto
     the zero feedthrough preserved.
     """
     reduced_ss, certified = balanced_truncate(h_full.ss, phi)
-    reduced = PredictorRealization(reduced_ss, h_full.n_u, h_full.n_y, kind="reduced")
+    reduced = PredictorRealization(reduced_ss, kind="reduced")
     return reduced, certified
 
 

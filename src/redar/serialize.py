@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import DimensionMismatch, SchemaError
 from .realization import IdentifiedModel
 from .systems import ClosedLoop, Controller, InnovationModel, assemble_closed_loop
 from .varx import Dataset
@@ -133,6 +133,7 @@ def _parse_matrix(parser: _Parser, header: str):
 def _parse_body(parser: _Parser):
     """Read one typed block: a type line, then matrices and nested sections."""
     type_line = parser.next_line().strip()
+    start = parser.pos
     if not type_line.startswith("type "):
         parser.fail(f"expected a type line, got {type_line!r}")
     kind = type_line[5:].strip()
@@ -158,11 +159,21 @@ def _parse_body(parser: _Parser):
                 parser.fail(f"expected 'end', got {end!r}")
         else:
             break
-    return kind, matrices, sections
+    return kind, matrices, sections, start
 
 
 def _build(parser: _Parser):
-    block_kind, matrices, sections = _parse_body(parser)
+    """The model of one typed block.  A shape or value check of the model
+    that fails is a schema error at the block's type line; an unstable loop
+    or degenerate noise keeps its own error."""
+    block_kind, matrices, sections, start = _parse_body(parser)
+    try:
+        return _model(parser, block_kind, matrices, sections)
+    except (ValueError, DimensionMismatch) as exc:
+        raise SchemaError(f"{block_kind} model: {exc}", line=start) from None
+
+
+def _model(parser: _Parser, block_kind, matrices, sections):
     if block_kind in _MATRIX_MODELS:
         cls, names = _MATRIX_MODELS[block_kind]
         missing = [f for f in names if f not in matrices]
@@ -212,12 +223,15 @@ def save_dataset_csv(path, ds: Dataset) -> None:
 
 
 def load_dataset_csv(path, p: int) -> Dataset:
-    """Read a channel CSV back into a Dataset with lag order p."""
-    text = Path(path).read_text()
-    lines = [ln for ln in text.split("\n") if ln.strip()]
-    if not lines:
+    """Read a channel CSV back into a Dataset with lag order p.
+
+    Blank lines are skipped; schema errors name the line of the file.
+    """
+    lines = Path(path).read_text().split("\n")
+    nonblank = [i for i, ln in enumerate(lines, start=1) if ln.strip()]  # line numbers
+    if not nonblank:
         raise SchemaError("empty dataset file", line=1)
-    header = [h.strip() for h in lines[0].split(",")]
+    header = [h.strip() for h in lines[nonblank[0] - 1].split(",")]
     n_u = 0
     while n_u < len(header) and header[n_u] == f"u{n_u + 1}":
         n_u += 1
@@ -225,16 +239,19 @@ def load_dataset_csv(path, p: int) -> Dataset:
     while n_u + n_y < len(header) and header[n_u + n_y] == f"y{n_y + 1}":
         n_y += 1
     if n_u == 0 or n_y == 0 or n_u + n_y != len(header):
-        raise SchemaError(f"header must be u1..u_nu,y1..y_ny, got {header}", line=1)
-    z = np.zeros((len(lines) - 1, n_u + n_y))
-    for i, line in enumerate(lines[1:], start=2):
-        tokens = line.split(",")
+        raise SchemaError(f"header must be u1..u_nu,y1..y_ny, got {header}", line=nonblank[0])
+    z = np.zeros((len(nonblank) - 1, n_u + n_y))
+    for row, i in enumerate(nonblank[1:]):
+        tokens = lines[i - 1].split(",")
         if len(tokens) != n_u + n_y:
             raise SchemaError(f"expected {n_u + n_y} columns, got {len(tokens)}", line=i)
         try:
-            z[i - 2] = [float(t) for t in tokens]
+            z[row] = [float(t) for t in tokens]
         except ValueError:
             raise SchemaError("non-numeric value", line=i) from None
+    finite = np.isfinite(z).all(axis=1)
+    if not finite.all():
+        raise SchemaError("non-finite value", line=nonblank[1 + int(np.argmin(finite))])
     return Dataset(z=z, p=p, n_u=n_u, n_y=n_y)
 
 

@@ -29,6 +29,7 @@ from .errors import (
     Unstable,
 )
 from .linalg import (
+    STABILITY_MARGIN,
     StateSpace,
     _as_matrix,
     kalman_gain,
@@ -186,7 +187,6 @@ class Trajectory:
     y: np.ndarray
     e: np.ndarray
     v: np.ndarray
-    seed: int
 
     @property
     def z(self) -> np.ndarray:
@@ -200,8 +200,8 @@ class Trajectory:
 def assemble_closed_loop(plant: InnovationModel, controller: Controller) -> ClosedLoop:
     """Interconnect plant and controller; raises if the loop is invalid.
 
-    Raises Unstable when the loop spectral radius reaches 1 and
-    DegenerateNoise when blockdiag(Psi, D2F D2F^T) is numerically singular
+    Raises Unstable when the loop spectral radius reaches 1 - STABILITY_MARGIN
+    and DegenerateNoise when blockdiag(Psi, D2F D2F^T) is numerically singular
     (``ClosedLoop.xi`` at most 1e-12).
     """
     if controller.n_u != plant.n_u or controller.n_y != plant.n_y:
@@ -237,16 +237,12 @@ def assemble_closed_loop(plant: InnovationModel, controller: Controller) -> Clos
     d_v = np.vstack([d2f, np.zeros((plant.n_y, controller.n_v))])
 
     sr = spectral_radius(a)
-    if sr >= 1.0:
-        raise Unstable(f"closed-loop spectral radius is {sr:.6g}")
+    if sr >= 1.0 - STABILITY_MARGIN:
+        raise Unstable(f"closed-loop spectral radius is {sr:.12g}")
     cl = ClosedLoop(plant, controller, a, b_e, b_v, c_z, d_e, d_v)
     if not cl.xi > 1e-12:
         raise DegenerateNoise(f"joint noise covariance has lambda_min {cl.xi:.3e}")
     return cl
-
-
-def _psi_factor(psi):
-    return np.linalg.cholesky(psi)
 
 
 def noise_to_signal(cl: ClosedLoop) -> StateSpace:
@@ -256,7 +252,7 @@ def noise_to_signal(cl: ClosedLoop) -> StateSpace:
     identity input covariance and its output autocovariance matches the
     stationary law of z.
     """
-    l_psi = _psi_factor(cl.plant.psi)
+    l_psi = np.linalg.cholesky(cl.plant.psi)
     b = np.hstack([cl.b_e @ l_psi, cl.b_v])
     d = np.hstack([cl.d_e @ l_psi, cl.d_v])
     return StateSpace(cl.a, b, cl.c_z, d)
@@ -306,7 +302,7 @@ def simulate(cl: ClosedLoop, t_total: int, burn_in: int | None = None, seed: int
         raise ValueError(f"burn_in must be nonnegative, got {burn_in}")
     rng = np.random.default_rng(seed)
     n = burn_in + t_total
-    l_psi = _psi_factor(cl.plant.psi)
+    l_psi = np.linalg.cholesky(cl.plant.psi)
     e = rng.standard_normal((n, cl.n_y)) @ l_psi.T
     v = rng.standard_normal((n, cl.controller.n_v))
 
@@ -323,7 +319,6 @@ def simulate(cl: ClosedLoop, t_total: int, burn_in: int | None = None, seed: int
         y=z[burn_in:, n_u:].copy(),
         e=e[burn_in:].copy(),
         v=v[burn_in:].copy(),
-        seed=seed,
     )
 
 
@@ -334,20 +329,17 @@ class Dims:
     n_x: int
     n_u: int
     n_y: int
-    n_s: int | None = None
 
     def __post_init__(self):
         for name in ("n_x", "n_u", "n_y"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if self.n_s is not None and self.n_s != self.n_x:
-            raise ValueError("LQG synthesis fixes the controller order at n_x")
 
 
-def random_pd(rng: np.random.Generator, n: int, floor: float = 0.1) -> np.ndarray:
-    """Random symmetric positive definite matrix M M^T + floor * I."""
+def random_pd(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Random symmetric positive definite matrix M M^T + 0.1 I."""
     m = rng.standard_normal((n, n))
-    return m @ m.T + floor * np.eye(n)
+    return m @ m.T + 0.1 * np.eye(n)
 
 
 def random_innovation_model(
@@ -380,7 +372,6 @@ def random_closed_loop(
     spectral_target: float,
     seed: int,
     noise_floor: float = 0.05,
-    retries: int = 100,
 ) -> ClosedLoop:
     """Sample a stable stochastic loop: random plant plus LQG controller.
 
@@ -388,10 +379,10 @@ def random_closed_loop(
     sampled plant (random positive definite weights), with excitation
     entering through a positive definite D2F.  Retries until the loop is
     stable, the joint noise covariance clears ``noise_floor`` and the
-    plant predictor is stable; raises GenerationFailed past ``retries``.
+    plant predictor is stable; raises GenerationFailed after 100 draws.
     """
     rng = np.random.default_rng(seed)
-    for _ in range(retries):
+    for _ in range(100):
         try:
             plant = random_innovation_model(dims, spectral_target, rng)
             a, b, c = plant.a, plant.b, plant.c
@@ -415,7 +406,7 @@ def random_closed_loop(
             continue
         if cl.xi <= noise_floor:
             continue
-        if spectral_radius(plant.a - plant.k @ plant.c) >= 1.0 - 1e-9:
+        if spectral_radius(plant.a - plant.k @ plant.c) >= 1.0 - STABILITY_MARGIN:
             continue
         return cl
-    raise GenerationFailed(f"no admissible system after {retries} attempts (seed {seed})")
+    raise GenerationFailed(f"no admissible system after 100 attempts (seed {seed})")

@@ -440,12 +440,6 @@ class TestBoundInputs:
         assert 0.0 < mild_inputs.rho < 1.0
         assert mild_inputs.p == 2 and mild_inputs.n_u == 1 and mild_inputs.n_y == 1
 
-    def test_explicit_radius_respected(self, mild_loop):
-        h = steady_state_predictor(mild_loop.plant)
-        inputs = bound_inputs(mild_loop, p=2, alpha=50.0, phi=0.05, rho=0.9)
-        assert inputs.rho == 0.9
-        assert inputs.level == gain_envelope(h, 0.9)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             BoundInputs(1.0, 1.5, 1.0, 1.0, 1.0, 1.0, 1, 1, 1, 1.0, 0.05)

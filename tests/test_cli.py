@@ -378,7 +378,7 @@ class TestExperiment:
 
             def indefinite(cl, p):
                 m = real(cl, p)
-                return MomentSet(r=m.r, q=-m.q, n=m.n, p=p)
+                return MomentSet(r=m.r, q=-m.q, n=m.n)
 
             monkeypatch.setattr("redar.kalman.exact_moments", indefinite)
         out_dir = tmp_path / "results"
@@ -422,30 +422,64 @@ BAD_SETTINGS = [
 ]
 
 
+def settings_argv(tmp_path, loop_file, siso_loop, command) -> list[str]:
+    """A run of ``command`` that writes to tmp_path/out (and
+    tmp_path/ledger.txt), for a flag and value to be appended."""
+    out, ledger, data = tmp_path / "out", tmp_path / "ledger.txt", tmp_path / "data.csv"
+    traj = simulate(siso_loop, 300, seed=np.random.SeedSequence([11, 1]))
+    save_dataset_csv(data, Dataset.from_signals(traj.u, traj.y, p=1))
+    split = ["--train-t", "64", "--test-t", "64", "--out", str(out)]
+    return {
+        "generate": ["generate", "--data", "--samples", "64", "--out-dir", str(out)],
+        "fit": ["fit", "--loop", str(loop_file), *split],
+        "fit --data": ["fit", "--data", str(data), *split],
+        "bound": [
+            "bound", "--loop", str(loop_file), "--t", "64", "--rho-grid", "8",
+            "--out", str(out), "--ledger", str(ledger),
+        ],
+        "experiment": ["experiment", *TINY_EXPERIMENT, "--output-dir", str(out)],
+    }[command]
+
+
 class TestSettings:
     @pytest.mark.parametrize("command, flag, value", BAD_SETTINGS)
     def test_bad_setting_exits_4_and_writes_nothing(
         self, tmp_path, loop_file, siso_loop, capsys, command, flag, value
     ):
-        out, ledger, data = tmp_path / "out", tmp_path / "ledger.txt", tmp_path / "data.csv"
-        traj = simulate(siso_loop, 300, seed=np.random.SeedSequence([11, 1]))
-        save_dataset_csv(data, Dataset.from_signals(traj.u, traj.y, p=1))
-        split = ["--train-t", "64", "--test-t", "64", "--out", str(out)]
-        argv = {
-            "generate": ["generate", "--data", "--samples", "64", "--out-dir", str(out)],
-            "fit": ["fit", "--loop", str(loop_file), *split],
-            "fit --data": ["fit", "--data", str(data), *split],
-            "bound": [
-                "bound", "--loop", str(loop_file), "--t", "64", "--rho-grid", "8",
-                "--out", str(out), "--ledger", str(ledger),
-            ],
-            "experiment": ["experiment", *TINY_EXPERIMENT, "--output-dir", str(out)],
-        }[command]
+        argv = settings_argv(tmp_path, loop_file, siso_loop, command)
         assert run_cli(*argv, flag, value) == 4
         err = capsys.readouterr().err
         assert err.startswith("redar: ") and err.count("\n") == 1
         assert "Traceback" not in err
-        assert not out.exists() and not ledger.exists()
+        assert not (tmp_path / "out").exists() and not (tmp_path / "ledger.txt").exists()
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("fit", "--train-t", "3"),
+            ("fit", "--test-t", "4"),
+            ("fit --data", "--train-t", "3"),
+            ("bound", "--t", "2"),
+            ("bound", "--t", "64,x"),
+            ("bound", "--t", ","),
+            ("generate", "--n-y", "0"),
+            ("experiment", "--alpha", "nan"),
+        ],
+    )
+    def test_message_names_the_flag(
+        self, tmp_path, loop_file, siso_loop, capsys, command, flag, value
+    ):
+        argv = settings_argv(tmp_path, loop_file, siso_loop, command)
+        assert run_cli(*argv, flag, value) == 4
+        assert capsys.readouterr().err.startswith(f"redar: {flag} ")
+
+    def test_burn_in_help_says_what_none_means(self):
+        sub = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        for command in ("generate", "fit", "experiment"):
+            action = next(a for a in sub.choices[command]._actions if a.dest == "burn_in")
+            assert "none means ceil(10 / (1 - rho(A)))" in action.help
 
     def test_config_flags_come_from_experiment_config(self):
         # a flag named after an ExperimentConfig field is parsed and checked
@@ -466,6 +500,47 @@ class TestSettings:
                 base = (0,) if (command, action.dest) == ("generate", "seeds") else None
                 assert shown == (base or getattr(ExperimentConfig, action.dest))
         assert commands == {"generate", "fit", "bound", "experiment"}
+
+
+class TestInputFiles:
+    # (case, line the message must name): each file breaks a model's own
+    # check, which is a schema error at a line of the file
+    @pytest.mark.parametrize(
+        "case, line", [("loop nan", 4), ("loop psi", 4), ("loop short b", 4), ("data nan", 5)]
+    )
+    def test_file_failing_a_model_check_exits_4_with_its_line(
+        self, tmp_path, dynamic_loop, capsys, case, line
+    ):
+        lines = dumps_model(dynamic_loop).split("\n")
+        assert lines[3] == "type innovation" and lines[8] == "matrix b 3 2"
+        assert lines[19] == "matrix psi 2 2"
+        if case == "loop nan":
+            lines[5] = "nan " + lines[5].split(" ", 1)[1]
+        elif case == "loop psi":
+            lines[20:22] = ["1.0 0.0", "0.0 -1.0"]
+        elif case == "loop short b":
+            lines[8] = "matrix b 2 2"
+            del lines[11]
+        else:
+            row = "0.1,0.2,0.3,0.4"
+            lines = ["u1,u2,y1,y2", row, "", "", "nan,0.2,0.3,0.4"] + [row] * 10
+        path = tmp_path / "input"
+        path.write_text("\n".join(lines))
+        source = "--data" if case == "data nan" else "--loop"
+        assert run_cli("fit", source, str(path), "--out", str(tmp_path / "m.txt")) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"redar: line {line}: ") and err.count("\n") == 1
+
+    def test_unstable_loop_file_exits_1_at_assembly(self, tmp_path, mild_loop, capsys):
+        # well formed, but the loop's spectral radius is within the
+        # stability margin of 1
+        lines = dumps_model(mild_loop).split("\n")
+        assert lines[4:6] == ["matrix a 1 1", "0.3"]
+        lines[5] = "0.9999999995"
+        path = tmp_path / "loop.txt"
+        path.write_text("\n".join(lines))
+        assert run_cli("bound", "--loop", str(path), "--t", "64") == 1
+        assert capsys.readouterr().err == "redar: closed-loop spectral radius is 0.9999999995\n"
 
 
 class TestUsageErrors:

@@ -107,11 +107,6 @@ class TestConfig:
         assert parsed == default
         assert type(parsed) is type(default)
 
-    def test_mapping_respects_base(self):
-        config = config_from_mapping({"output_dir": "elsewhere"}, base=TINY)
-        assert config.output_dir == "elsewhere"
-        assert config.t_sweep == TINY.t_sweep
-
     def test_mapping_rejects_unknown_key(self):
         with pytest.raises(SchemaError):
             config_from_mapping({"nx": "3"})
@@ -212,8 +207,8 @@ class TestReportRendering:
         assert cells[2][col["bound_valid"]] == "yes"
 
     def test_write_outputs_reproducible(self, tmp_path):
-        result = run_experiment(TINY)
-        out = write_outputs(result, tmp_path / "run")
+        config = dataclasses.replace(TINY, output_dir=str(tmp_path / "run"))
+        out = write_outputs(run_experiment(config))
         names = sorted(p.name for p in out.iterdir())
         assert names == [
             "bound_seed0.csv",
@@ -222,12 +217,12 @@ class TestReportRendering:
             "report.csv",
         ]
         snapshot = {p.name: p.read_text() for p in out.iterdir()}
-        write_outputs(run_experiment(TINY), tmp_path / "run")
+        write_outputs(run_experiment(config))
         assert {p.name: p.read_text() for p in out.iterdir()} == snapshot
 
     def test_curve_files_mirror_rows(self, tmp_path):
-        result = run_experiment(TINY)
-        out = write_outputs(result, tmp_path / "run")
+        result = run_experiment(dataclasses.replace(TINY, output_dir=str(tmp_path / "run")))
+        out = write_outputs(result)
         rows = result.outcomes[0].rows
         mse_lines = (out / "mse_seed0.csv").read_text().strip().split("\n")
         assert mse_lines[0] == "t,mse"

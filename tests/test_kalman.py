@@ -126,7 +126,7 @@ class TestFiniteHorizonPredictor:
     def test_indefinite_lag_covariance_raises(self, dynamic_loop, monkeypatch):
         m = exact_moments(dynamic_loop, 2)
         q = m.q - 2.0 * np.linalg.norm(m.q) * np.eye(m.q.shape[0])
-        indefinite = MomentSet(r=m.r, q=q, n=m.n, p=2)
+        indefinite = MomentSet(r=m.r, q=q, n=m.n)
         monkeypatch.setattr("redar.kalman.exact_moments", lambda cl, p: indefinite)
         with pytest.raises(NumericalError, match="not positive definite"):
             finite_horizon_predictor(dynamic_loop, 2)

@@ -73,9 +73,9 @@ class TestDelayLine:
     def test_realization_validation(self):
         _, h = random_predictor(2)
         with pytest.raises(ValueError):
-            PredictorRealization(h.ss, h.n_u, h.n_y, kind="other")
-        with pytest.raises(DimensionMismatch):
-            PredictorRealization(h.ss, h.n_u + 1, h.n_y, kind="full")
+            PredictorRealization(h.ss, kind="other")
+        # channel counts are read off the realization: z = (u, y) in, y out
+        assert (h.n_u, h.n_y) == (1, 2)
 
 
 class TestReduction:

@@ -143,6 +143,15 @@ class TestModelSchemaErrors:
         line, msg = self.fail_line(text)
         assert line == 4 and "non-numeric" in msg
 
+    def test_failed_model_check_reports_type_line(self, dynamic_loop):
+        # B with one row too few: the plant's own shape check, at its type line
+        lines = dumps_model(dynamic_loop).split("\n")
+        assert lines[3] == "type innovation" and lines[8] == "matrix b 3 2"
+        lines[8] = "matrix b 2 2"
+        del lines[11]
+        line, msg = self.fail_line("\n".join(lines))
+        assert line == 4 and "B has 2 rows, expected 3" in msg
+
     def test_truncated_matrix(self):
         text = "redar-model 1\ntype innovation\nmatrix a 2 1\n0.5\n"
         line, msg = self.fail_line(text)
@@ -219,6 +228,13 @@ class TestDatasetCsv:
         with pytest.raises(SchemaError) as exc:
             load_dataset_csv(path, p=1)
         assert exc.value.line == 2
+
+    def test_error_line_counts_blank_lines(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("u1,y1\n0.0,0.0\n\n\n0.0,oops\n")
+        with pytest.raises(SchemaError) as exc:
+            load_dataset_csv(path, p=1)
+        assert exc.value.line == 5
 
     def test_rejects_empty_file(self, tmp_path):
         path = tmp_path / "data.csv"
