@@ -140,8 +140,16 @@ def _cmd_generate(args) -> int:
 def _cmd_fit(args) -> int:
     if (args.data is None) == (args.loop is None):
         raise SchemaError("pass exactly one of --data and --loop")
+    if args.data is not None:
+        # data mode simulates nothing: both lengths sit at the floor that p sets
+        p = parse_field("p", args.p) if args.p is not None else ExperimentConfig.p
+        train_t, test_t = p, p + 1
+    else:
+        if args.seed < 0:
+            raise SchemaError(f"--seed must be nonnegative, got {args.seed}")
+        train_t, test_t = args.train_t, args.test_t
     # the training and test lengths play t_sweep (at least p) and test_length (above p)
-    config = _config(args, {"t_sweep": str(args.train_t), "test_length": str(args.test_t)})
+    config = _config(args, {"t_sweep": str(train_t), "test_length": str(test_t)})
     p = config.p
     test = None
     if args.data is not None:

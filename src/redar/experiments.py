@@ -115,6 +115,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be at least 8")
         if self.t0_candidates < 1:
             raise ValueError("t0_candidates must be positive")
+        if not self.output_dir:
+            raise ValueError("output_dir must be nonempty")
 
 
 def _parse_int_tuple(text: str) -> tuple[int, ...]:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, PredictorUnstable
+from .errors import PredictorUnstable
 from .linalg import STABILITY_MARGIN, StateSpace, markov_parameters, spectral_radius
 from .realization import PredictorRealization, predictor_from_coefficients
 from .systems import ClosedLoop, InnovationModel, autocovariance
@@ -101,14 +101,7 @@ def exact_moments(cl: ClosedLoop, p: int) -> MomentSet:
 def finite_horizon_predictor(cl: ClosedLoop, p: int) -> tuple[np.ndarray, PredictorRealization]:
     """Population-optimal lag-p predictor G_opt = N Q^{-1} and its realization."""
     moments = exact_moments(cl, p)
-    try:
-        g_opt = solve_normal_equations(moments.q, moments.n, 0.0)
-    except np.linalg.LinAlgError as exc:
-        lam = float(np.linalg.eigvalsh(moments.q).min())
-        raise NumericalError(
-            f"lag covariance not positive definite (lambda_min(Q) = {lam:.6e}, "
-            f"lambda_min(Gamma) = {cl.xi:.6e})"
-        ) from exc
+    g_opt = solve_normal_equations(moments.q, moments.n, 0.0)
     h_opt = predictor_from_coefficients(g_opt, p, cl.n_u, cl.n_y)
     return g_opt, h_opt
 

@@ -286,6 +286,15 @@ def default_burn_in(cl: ClosedLoop) -> int:
     return int(np.ceil(10.0 / max(1.0 - sr, 1e-6)))
 
 
+# samples per block of simulate's stacked products
+_BLOCK = 4096
+
+
+def _each(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Rows ``m @ x[t]`` for every row t of ``x``, as one stacked matmul."""
+    return np.matmul(m, x[:, :, None])[:, :, 0]
+
+
 def simulate(cl: ClosedLoop, t_total: int, burn_in: int | None = None, seed: int = 0) -> Trajectory:
     """Simulate the closed loop from zero state.
 
@@ -293,6 +302,17 @@ def simulate(cl: ClosedLoop, t_total: int, burn_in: int | None = None, seed: int
     excitation), runs the loop recursion and discards the first
     ``burn_in`` steps.  ``burn_in=None`` uses ceil(10 / (1 - rho(A))).
     Identical seeds reproduce bit-identical trajectories.
+
+    Only the state recursion w <- A w + B_e e[t] + B_v v[t] runs one
+    sample at a time.  Per block of ``_BLOCK`` samples, the input terms
+    B_e e[t] and B_v v[t] are formed before it, and z = C_z w + D_e e +
+    D_v v after it, each as one stacked product (`_each`).  numpy
+    evaluates a stacked matrix-vector product as one gemv per row, the
+    same call that ``M @ x[t]`` makes, and the sums keep the per-sample
+    left-to-right order, so the result is bit-identical to the
+    per-sample loop.  A single gemm ``x @ M.T``, or pre-summing the two
+    input terms, would round differently.  The blocks bound the scratch
+    arrays, which would otherwise grow with a long burn-in.
     """
     if t_total <= 0:
         raise ValueError(f"t_total must be positive, got {t_total}")
@@ -306,13 +326,18 @@ def simulate(cl: ClosedLoop, t_total: int, burn_in: int | None = None, seed: int
     e = rng.standard_normal((n, cl.n_y)) @ l_psi.T
     v = rng.standard_normal((n, cl.controller.n_v))
 
-    a, b_e, b_v = cl.a, cl.b_e, cl.b_v
-    c_z, d_e, d_v = cl.c_z, cl.d_e, cl.d_v
+    a = cl.a
     w = np.zeros(cl.n_states)
     z = np.empty((n, cl.n_z))
-    for t in range(n):
-        z[t] = c_z @ w + d_e @ e[t] + d_v @ v[t]
-        w = a @ w + b_e @ e[t] + b_v @ v[t]
+    for start in range(0, n, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        e_b, v_b = e[block], v[block]
+        be, bv = _each(cl.b_e, e_b), _each(cl.b_v, v_b)
+        states = np.empty_like(be)
+        for t in range(len(states)):
+            states[t] = w
+            w = np.dot(a, w) + be[t] + bv[t]
+        z[block] = _each(cl.c_z, states) + _each(cl.d_e, e_b) + _each(cl.d_v, v_b)
     n_u = cl.n_u
     return Trajectory(
         u=z[burn_in:, :n_u].copy(),

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatch, InsufficientData, OrderMismatch
+from .errors import DimensionMismatch, InsufficientData, NumericalError, OrderMismatch
 
 __all__ = [
     "Dataset",
@@ -166,11 +166,23 @@ def empirical_moments(d: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def solve_normal_equations(q: np.ndarray, n: np.ndarray, ridge: float) -> np.ndarray:
-    """Solve G (Q + ridge I) = N by symmetric factorization."""
+    """Solve G (Q + ridge I) = N by symmetric factorization.
+
+    Raises NumericalError, with lambda_min(Q + ridge I) and the ridge,
+    when Q + ridge I is not numerically positive definite.
+    """
     q = np.asarray(q, dtype=float)
     n = np.asarray(n, dtype=float)
     lhs = q + ridge * np.eye(q.shape[0])
-    cho = scipy.linalg.cho_factor(0.5 * (lhs + lhs.T))
+    lhs = 0.5 * (lhs + lhs.T)
+    try:
+        cho = scipy.linalg.cho_factor(lhs)
+    except np.linalg.LinAlgError as exc:
+        lam = float(np.linalg.eigvalsh(lhs).min())
+        raise NumericalError(
+            f"Q + ridge I is not positive definite (lambda_min(Q + ridge I) = {lam:.6e}, "
+            f"ridge = {ridge:.6e})"
+        ) from exc
     return scipy.linalg.cho_solve(cho, n.T).T
 
 

@@ -155,6 +155,20 @@ def predictor_loop(ss, z):
     return out
 
 
+def simulate_per_sample(cl, e, v):
+    """Closed-loop signal z = (u, y) one sample at a time, from zero state.
+
+    z[t] = C_z w + D_e e[t] + D_v v[t], then w <- A w + B_e e[t] + B_v v[t],
+    over the full noise sequences (burn-in included).
+    """
+    w = np.zeros(cl.n_states)
+    z = np.empty((e.shape[0], cl.n_z))
+    for t in range(e.shape[0]):
+        z[t] = cl.c_z @ w + cl.d_e @ e[t] + cl.d_v @ v[t]
+        w = cl.a @ w + cl.b_e @ e[t] + cl.b_v @ v[t]
+    return z
+
+
 def simulate_loop_direct(plant, controller, e, v):
     """Textbook closed-loop recursion over separate plant and controller states.
 

@@ -181,6 +181,34 @@ class TestFit:
         assert code == 4
         assert "line 4" in capsys.readouterr().err
 
+    def test_data_mode_ignores_the_split_lengths(self, tmp_path, siso_loop, capsys):
+        # --train-t and --test-t only size the simulated split of --loop
+        traj = simulate(siso_loop, 300, seed=np.random.SeedSequence([11, 1]))
+        data = tmp_path / "data.csv"
+        save_dataset_csv(data, Dataset.from_signals(traj.u, traj.y, p=2))
+        out = tmp_path / "m.txt"
+        argv = ["fit", "--data", str(data), "--p", "2", "--out", str(out)]
+        assert run_cli(*argv, "--train-t", "1", "--test-t", "1") == 0
+        fit = fit_redar(load_dataset_csv(data, 2), 1.0, 0.05)
+        assert out.read_text() == dumps_model(fit.model)
+        assert run_cli(*argv, "--p", "400") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("redar: ") and "--train-t" not in err
+
+    def test_singular_normal_equations_exit_with_one_line(self, tmp_path, capsys):
+        # u2 repeats u1 up to 1e-9, so Q_T + (alpha / T) I is singular at alpha = 1e-14
+        rng = np.random.default_rng(0)
+        u1 = rng.standard_normal(2000)
+        u = np.column_stack([u1, u1 + 1e-9 * rng.standard_normal(2000)])
+        data = tmp_path / "data.csv"
+        save_dataset_csv(data, Dataset.from_signals(u, rng.standard_normal((2000, 2)), p=1))
+        out = tmp_path / "m.txt"
+        assert run_cli("fit", "--data", str(data), "--alpha", "1e-14", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("redar: Q + ridge I is not positive definite (lambda_min(")
+        assert err.count("\n") == 1 and "ridge = 5.010020e-18" in err
+        assert not out.exists()
+
     def test_missing_data_file(self, tmp_path):
         code = run_cli(
             "fit", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "m.txt")
@@ -265,6 +293,13 @@ class TestBound:
 
 
 class TestExperiment:
+    def test_empty_output_dir_exits_4_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        # an empty directory name would otherwise mean the working directory
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("experiment", *TINY_EXPERIMENT, "--output-dir", "") == 4
+        assert capsys.readouterr().err == "redar: --output-dir must be nonempty\n"
+        assert not any(tmp_path.iterdir())
+
     def test_tiny_sweep(self, tmp_path, capsys):
         out_dir = tmp_path / "results"
         code = run_cli("experiment", *TINY_EXPERIMENT, "--output-dir", str(out_dir))
@@ -409,8 +444,9 @@ BAD_SETTINGS = [
     ("fit", "--train-t", "3"),
     ("fit", "--test-t", "2"),
     ("fit", "--burn-in", "-1"),
-    ("fit --data", "--test-t", "2"),
-    ("fit --data", "--train-t", "3"),
+    ("fit", "--seed", "-1"),
+    ("fit --data", "--p", "0"),
+    ("fit --data", "--alpha", "0"),
     ("bound", "--phi", "nan"),
     ("bound", "--t0-target", "0"),
     ("bound", "--t0-target", "-1"),
@@ -458,7 +494,8 @@ class TestSettings:
         [
             ("fit", "--train-t", "3"),
             ("fit", "--test-t", "4"),
-            ("fit --data", "--train-t", "3"),
+            ("fit", "--seed", "-1"),
+            ("fit --data", "--p", "0"),
             ("bound", "--t", "2"),
             ("bound", "--t", "64,x"),
             ("bound", "--t", ","),

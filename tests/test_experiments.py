@@ -81,6 +81,7 @@ class TestConfig:
             {"spectral_target": math.nan},
             {"theta": math.nan},
             {"seeds": (0, -1)},
+            {"output_dir": ""},
         ],
     )
     def test_rejects_bad_fields(self, overrides):

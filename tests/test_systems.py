@@ -21,10 +21,24 @@ from redar import (
     spectral_radius,
 )
 
-from .oracles import simulate_loop_direct
+from redar.systems import _each, default_burn_in
+
+from .oracles import simulate_loop_direct, simulate_per_sample
 from .support import rng_from
 
 seeds = st.integers(0, 2**32 - 1)
+
+# n_u = 1, n_y = 1, both, and the benchmark's loop sizes (2,1,1), (3,2,2), (6,2,2)
+SIMULATE_DIMS = [
+    Dims(1, 1, 1), Dims(2, 1, 1), Dims(3, 2, 2), Dims(6, 2, 2), Dims(4, 3, 1), Dims(5, 1, 3)
+]
+
+
+def full_noise(cl, n, seed):
+    """The n noise samples simulate draws for ``seed``: innovations, then excitation."""
+    rng = np.random.default_rng(seed)
+    e = rng.standard_normal((n, cl.n_y)) @ np.linalg.cholesky(cl.plant.psi).T
+    return e, rng.standard_normal((n, cl.controller.n_v))
 
 
 def unit_feedthrough_controller(n_u, n_y):
@@ -188,6 +202,33 @@ class TestSimulate:
             simulate(dynamic_loop, 0)
         with pytest.raises(ValueError):
             simulate(dynamic_loop, 10, burn_in=-1)
+
+    @pytest.mark.parametrize("block", [64, 4096])
+    @pytest.mark.parametrize("burn_in", [0, 37, None])
+    @pytest.mark.parametrize("dims", SIMULATE_DIMS, ids=str)
+    def test_bit_identical_to_per_sample_loop(self, monkeypatch, dims, burn_in, block):
+        monkeypatch.setattr("redar.systems._BLOCK", block)
+        for seed in range(3):
+            cl = random_closed_loop(dims, 0.7, seed=np.random.SeedSequence([seed, 0]))
+            lead = default_burn_in(cl) if burn_in is None else burn_in
+            traj = simulate(cl, 300, burn_in=burn_in, seed=np.random.SeedSequence([seed, 1]))
+            e, v = full_noise(cl, lead + 300, np.random.SeedSequence([seed, 1]))
+            assert np.array_equal(traj.e, e[lead:])
+            assert np.array_equal(traj.v, v[lead:])
+            assert np.array_equal(traj.z, simulate_per_sample(cl, e, v)[lead:])
+
+    @pytest.mark.parametrize("dims", SIMULATE_DIMS, ids=str)
+    def test_stacked_products_match_per_row_products(self, dims):
+        # simulate is bit-identical only while numpy runs a stacked matmul
+        # as one matrix-vector product per row, and np.dot(A, w) as A @ w
+        cl = random_closed_loop(dims, 0.7, seed=np.random.SeedSequence([9, 0]))
+        rng = np.random.default_rng(9)
+        for m in (cl.a, cl.b_e, cl.b_v, cl.c_z, cl.d_e, cl.d_v):
+            x = rng.standard_normal((200, m.shape[1]))
+            rows = np.array([m @ row for row in x])
+            assert np.array_equal(_each(m, x), rows), f"stacked matmul of {m.shape}"
+        w = rng.standard_normal((200, cl.n_states))
+        assert all(np.array_equal(np.dot(cl.a, row), cl.a @ row) for row in w), "np.dot"
 
     def test_static_loop_passes_noise_through(self, static_loop):
         traj = simulate(static_loop, 100, burn_in=0, seed=1)

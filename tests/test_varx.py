@@ -7,6 +7,7 @@ from redar import (
     Dataset,
     DimensionMismatch,
     InsufficientData,
+    NumericalError,
     OrderMismatch,
     VarxModel,
     build_regressors,
@@ -165,6 +166,15 @@ class TestFit:
         q, n = empirical_moments(d, y)
         model = fit_from_moments(q, n, p=1, alpha=1.0, t=np.inf)
         assert np.allclose(model.g, np.linalg.solve(q.T, n.T).T, atol=1e-12)
+
+    def test_singular_moments_raise_numerical_error(self):
+        # one lag channel repeated: Q is singular and the ridge too small to help
+        q = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+        message = r"lambda_min\(Q \+ ridge I\) = .*ridge = 1\.0+e-20"
+        with pytest.raises(NumericalError, match=message):
+            fit_from_moments(q, np.ones((1, 3)), p=1, alpha=1e-20, t=1.0)
+        model = fit_from_moments(q, np.ones((1, 3)), p=1, alpha=1e-3, t=1.0)
+        assert np.all(np.isfinite(model.g))
 
     def test_rejects_bad_alpha(self):
         ds = counter_dataset()
