@@ -3,11 +3,11 @@
     python scripts/output_contract.py OUT_DIR
 
 Runs a fixed list of ``redar`` commands (generate, experiment, bound and
-fit, on seeds 0 and 3) against the ``src`` tree of the checkout this
-script sits in, one after another, with OUT_DIR as the working
-directory, so every file a command writes lands in OUT_DIR.  Command
-``NN-name`` also leaves ``NN-name.cmd`` (its arguments),
-``NN-name.stdout``, ``NN-name.exit`` (its exit code) and
+fit, on seeds 0 and 3, and one fit at lag order 16) against the ``src``
+tree of the checkout this script sits in, one after another, with
+OUT_DIR as the working directory, so every file a command writes lands
+in OUT_DIR.  Command ``NN-name`` also leaves ``NN-name.cmd`` (its
+arguments), ``NN-name.stdout``, ``NN-name.exit`` (its exit code) and
 ``NN-name.stderr``, in which the path of that ``src`` tree reads
 ``<src>``.
 
@@ -50,6 +50,8 @@ def commands() -> list[tuple[str, list[str]]]:
         ("fit-loop", ["fit", "--loop", "loops/loop_seed3.txt", "--out", "fit_loop.txt"]),
         ("fit-loop-p6", ["fit", "--loop", "loops/loop_seed3.txt", "--p", "6", "--phi", "0.1",
                          "--out", "fit_loop_p6.txt"]),
+        ("fit-data-p16", ["fit", "--data", "loops/loop_data_seed0.csv", "--p", "16",
+                          "--phi", "0.01", "--out", "fit_data_p16.txt"]),
     ]
 
 

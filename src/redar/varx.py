@@ -144,13 +144,19 @@ def build_regressors(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
     Row i corresponds to time index t = p + i in the dataset window;
     its lag blocks are z[t-1], z[t-2], ..., z[t-p] in that order and the
     target is the y part of z[t].
+
+    D is filled by one copy of a sliding window over z, whose entry
+    [i, :, k] is z[p + i - 1 - k], into a fresh C-contiguous array.  D
+    must stay C-contiguous: ``empirical_moments`` forms D^T D as one
+    syrk, and its rounding, which depends on the layout, carries through
+    Q_T to the fitted models and their certified errors.
     """
     z, p, t = ds.z, ds.p, ds.t_count
-    d = np.empty((t, p * ds.n_z))
-    for lag in range(1, p + 1):
-        d[:, (lag - 1) * ds.n_z : lag * ds.n_z] = z[p - lag : p - lag + t]
+    window = np.lib.stride_tricks.sliding_window_view(z, p, axis=0)[:t, :, ::-1]
+    d = np.empty((t, p, ds.n_z))
+    np.copyto(d, window.transpose(0, 2, 1))
     y = z[p:, ds.n_u :].copy()
-    return d, y
+    return d.reshape(t, p * ds.n_z), y
 
 
 def empirical_moments(d: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -162,19 +168,29 @@ def empirical_moments(d: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndar
     if d.shape[0] == 0:
         raise InsufficientData("no regression rows")
     t = d.shape[0]
-    return d.T @ d / t, y.T @ d / t
+    # finite data may still overflow here; solve_normal_equations names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        return d.T @ d / t, y.T @ d / t
 
 
 def solve_normal_equations(q: np.ndarray, n: np.ndarray, ridge: float) -> np.ndarray:
     """Solve G (Q + ridge I) = N by symmetric factorization.
 
-    Raises NumericalError, with lambda_min(Q + ridge I) and the ridge,
-    when Q + ridge I is not numerically positive definite.
+    Raises NumericalError when Q + ridge I or N is not finite (moments
+    of finite data whose products overflow), and, with
+    lambda_min(Q + ridge I) and the ridge, when Q + ridge I is not
+    numerically positive definite.
     """
     q = np.asarray(q, dtype=float)
     n = np.asarray(n, dtype=float)
-    lhs = q + ridge * np.eye(q.shape[0])
-    lhs = 0.5 * (lhs + lhs.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = q + ridge * np.eye(q.shape[0])
+        lhs = 0.5 * (lhs + lhs.T)
+    if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(n))):
+        raise NumericalError(
+            "the moments Q + ridge I and N are not finite: the data's lag products "
+            "overflow double precision; rescale the channels"
+        )
     try:
         cho = scipy.linalg.cho_factor(lhs)
     except np.linalg.LinAlgError as exc:

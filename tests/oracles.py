@@ -190,6 +190,19 @@ def simulate_loop_direct(plant, controller, e, v):
     return u, y
 
 
+def build_regressors_per_lag(ds):
+    """Regressors (D, Y) filled one lag block at a time over all rows.
+
+    Block lag of row i is z[p + i - lag]; the target is the y part of
+    z[p + i].  D is a fresh C-contiguous array.
+    """
+    z, p, t, n_z = ds.z, ds.p, ds.t_count, ds.n_z
+    d = np.empty((t, p * n_z))
+    for lag in range(1, p + 1):
+        d[:, (lag - 1) * n_z : lag * n_z] = z[p - lag : p - lag + t]
+    return d, z[p:, ds.n_u :].copy()
+
+
 def empirical_moments_direct(z, p, n_u):
     """Lag moments by explicit loops: Q = mean d d^T, N = mean y d^T."""
     z = np.asarray(z, dtype=float)

@@ -1,8 +1,15 @@
 import argparse
+import contextlib
 import dataclasses
+import io
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import redar.experiments
 import redar.kalman
@@ -207,6 +214,20 @@ class TestFit:
         err = capsys.readouterr().err
         assert err.startswith("redar: Q + ridge I is not positive definite (lambda_min(")
         assert err.count("\n") == 1 and "ridge = 5.010020e-18" in err
+        assert not out.exists()
+
+    def test_overflowing_moments_exit_with_one_line(self, tmp_path, capsys):
+        # every entry is finite, but the lag products overflow double precision
+        rng = np.random.default_rng(0)
+        data = tmp_path / "data.csv"
+        save_dataset_csv(data, Dataset(z=rng.standard_normal((200, 2)) * 1e160, p=1, n_u=1, n_y=1))
+        out = tmp_path / "m.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("fit", "--data", str(data), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("redar: the moments Q + ridge I and N are not finite")
+        assert err.count("\n") == 1 and "overflow" in err
         assert not out.exists()
 
     def test_missing_data_file(self, tmp_path):
@@ -578,6 +599,60 @@ class TestInputFiles:
         path.write_text("\n".join(lines))
         assert run_cli("bound", "--loop", str(path), "--t", "64") == 1
         assert capsys.readouterr().err == "redar: closed-loop spectral radius is 0.9999999995\n"
+
+
+@st.composite
+def malformed_csv(draw):
+    """(p, CSV text): random channels at scales 1e-300..1e300, maybe constant
+    or collinear, maybe shorter than p + 1 rows, with up to two rows
+    broken by a NaN or infinite token or a wrong column count."""
+    n_u, n_y, p = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(1, 4))
+    n_z = n_u + n_y
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.sampled_from([0, -300, -160, -30, 30, 150, 155, 160, 300]))
+    short = draw(st.sampled_from([False, False, False, True]))
+    length = draw(st.integers(0, p) if short else st.integers(p + 1, 60))
+    z = rng.standard_normal((length, n_z)) * scale
+    channels = draw(st.sampled_from(["random", "constant", "collinear"]))
+    if channels == "constant":
+        z[:, draw(st.integers(0, n_z - 1))] = scale
+    elif channels == "collinear":
+        z[:, -1] = -0.5 * z[:, 0]
+    rows = [[repr(float(v)) for v in row] for row in z]
+    for _ in range(draw(st.integers(0, 2)) if len(rows) else 0):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        fault = draw(st.sampled_from(["nan", "inf", "-inf", "extra column", "missing column"]))
+        if fault == "extra column":
+            row.append("0.0")
+        elif fault == "missing column":
+            row.pop()
+        else:
+            row[draw(st.integers(0, n_z - 1))] = fault
+    header = [f"u{i + 1}" for i in range(n_u)] + [f"y{i + 1}" for i in range(n_y)]
+    return p, "\n".join(",".join(row) for row in [header, *rows]) + "\n"
+
+
+class TestMalformedData:
+    @settings(max_examples=100)
+    @given(malformed_csv())
+    def test_fit_data_ends_with_an_exit_code(self, case):
+        # in process: no traceback, no warning, and at most one redar: line
+        p, text = case
+        with tempfile.TemporaryDirectory() as tmp:
+            data, out = Path(tmp) / "data.csv", Path(tmp) / "m.txt"
+            data.write_text(text)
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    code = main(["fit", "--data", str(data), "--p", str(p), "--out", str(out)])
+            assert code in range(5)
+            err = stderr.getvalue()
+            if code == 0:
+                assert err == "" and out.exists()
+            else:
+                assert err.startswith("redar: ") and err.count("\n") == 1
+                assert not out.exists()
 
 
 class TestUsageErrors:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -17,7 +19,7 @@ from redar import (
     predict_varx,
 )
 
-from .oracles import empirical_moments_direct
+from .oracles import build_regressors_per_lag, empirical_moments_direct
 from .support import rng_from
 
 seeds = st.integers(0, 2**32 - 1)
@@ -92,6 +94,21 @@ class TestRegressors:
         assert np.allclose(q, q_direct, atol=1e-12)
         assert np.allclose(n, n_direct, atol=1e-12)
         assert np.allclose(q, q.T, atol=1e-15)
+
+    @given(seeds, st.integers(1, 16), st.integers(1, 3), st.integers(1, 3), st.integers(0, 40))
+    def test_bit_identical_to_per_lag_copy(self, seed, p, n_u, n_y, extra):
+        rng = rng_from(seed)
+        z = rng.standard_normal((p + 1 + extra, n_u + n_y))
+        ds = Dataset(z=z, p=p, n_u=n_u, n_y=n_y)
+        d, y = build_regressors(ds)
+        d_loop, y_loop = build_regressors_per_lag(ds)
+        assert d.flags.c_contiguous
+        assert np.array_equal(d, d_loop)
+        assert np.array_equal(y, y_loop)
+        # the fit from the oracle's D must match to the last bit
+        q, n = empirical_moments(d_loop, y_loop)
+        via_loop = fit_from_moments(q, n, p=p, alpha=0.5, t=ds.t_count)
+        assert np.array_equal(fit_varx(ds, alpha=0.5).g, via_loop.g)
 
     def test_moment_input_checks(self):
         with pytest.raises(DimensionMismatch):
@@ -175,6 +192,17 @@ class TestFit:
             fit_from_moments(q, np.ones((1, 3)), p=1, alpha=1e-20, t=1.0)
         model = fit_from_moments(q, np.ones((1, 3)), p=1, alpha=1e-3, t=1.0)
         assert np.all(np.isfinite(model.g))
+
+    def test_overflowing_moments_raise_numerical_error(self):
+        # finite data whose lag products overflow double precision
+        z = rng_from(12).standard_normal((200, 2)) * 1e160
+        ds = Dataset(z=z, p=2, n_u=1, n_y=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="not finite"):
+                fit_varx(ds, alpha=1.0)
+        with pytest.raises(NumericalError, match="not finite"):
+            fit_from_moments(np.full((2, 2), np.inf), np.ones((1, 2)), p=1, alpha=1.0, t=1.0)
 
     def test_rejects_bad_alpha(self):
         ds = counter_dataset()
