@@ -44,7 +44,7 @@ from .serialize import (
     save_dataset_csv,
     save_model,
 )
-from .systems import ClosedLoop, simulate
+from .systems import ClosedLoop, simulate, simulate_many
 from .varx import Dataset
 
 __all__ = ["main", "exit_code"]
@@ -158,9 +158,13 @@ def _cmd_fit(args) -> int:
         model = load_model(args.loop)
         if not isinstance(model, ClosedLoop):
             raise SchemaError(f"{args.loop} does not hold a closed-loop model")
-        train, test = (
-            simulate(model, t, burn_in=config.burn_in, seed=np.random.SeedSequence([args.seed, k]))
-            for t, k in ((args.train_t + p, 1), (args.test_t, 2))
+        train, test = simulate_many(
+            model,
+            [
+                (t, np.random.SeedSequence([args.seed, k]))
+                for t, k in ((args.train_t + p, 1), (args.test_t, 2))
+            ],
+            burn_in=config.burn_in,
         )
         ds = Dataset.from_signals(train.u, train.y, p=p)
     fit = fit_redar(ds, config.alpha, config.phi)

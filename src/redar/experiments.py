@@ -30,7 +30,7 @@ from .errors import RedarError, SchemaError
 from .kalman import finite_horizon_predictor
 from .linalg import hinf_norm, parallel_difference
 from .realization import fit_redar, prediction_mse, run_predictor
-from .systems import ClosedLoop, Dims, random_closed_loop, simulate
+from .systems import ClosedLoop, Dims, random_closed_loop, simulate_many
 from .varx import Dataset
 
 __all__ = [
@@ -243,11 +243,13 @@ def run_seed(config: ExperimentConfig, seed: int, log=None) -> SeedOutcome:
     ledger = select_ledger(inputs, float(max(config.t_sweep)), config.t0_candidates)
     say(f"seed {seed}: t0 = {ledger.t0:.4g}, k = {ledger.k:.4g}")
     _, h_opt = finite_horizon_predictor(cl, config.p)
-    test = simulate(cl, config.test_length, burn_in=config.burn_in, seed=test_seed)
+    test, train = simulate_many(
+        cl,
+        [(config.test_length, test_seed), (max(config.t_sweep) + config.p, train_seed)],
+        burn_in=config.burn_in,
+    )
     test_z = test.z
     mse_oracle = prediction_mse(test.y, run_predictor(h_opt.ss, test_z), discard=config.p)
-    max_t = max(config.t_sweep)
-    train = simulate(cl, max_t + config.p, burn_in=config.burn_in, seed=train_seed)
     train_z = train.z
 
     rows = []

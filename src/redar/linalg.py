@@ -161,8 +161,9 @@ def solve_discrete_riccati(a, b, q, r):
     Raises
     ------
     NotStabilizable
-        If the iteration does not converge within 10,000 steps or the
-        implied closed loop ``A - B F`` is not stable.
+        If the iteration does not converge within 10,000 steps, an
+        iterate or its step norm stops being finite, or the implied
+        closed loop ``A - B F`` is not stable.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float).reshape(a.shape[0], -1)
@@ -187,12 +188,20 @@ def solve_discrete_riccati(a, b, q, r):
         h_next = hk + ak.T @ hk @ m_inv_a
         g_next = gk + ak @ m_inv_g @ ak.T
         a_next = ak @ m_inv_a
-        step = np.linalg.norm(h_next - hk)
+        # a diverging iteration overflows in the iterates or in their norms
+        with np.errstate(over="ignore", invalid="ignore"):
+            step, size = np.linalg.norm(h_next - hk), np.linalg.norm(h_next)
+        if not (
+            np.isfinite(step)
+            and np.isfinite(size)
+            and all(np.all(np.isfinite(x)) for x in (a_next, g_next))
+        ):
+            raise NotStabilizable("Riccati doubling iteration diverged")
         ak, gk, hk = a_next, 0.5 * (g_next + g_next.T), 0.5 * (h_next + h_next.T)
         if step <= 1e-12 * max(1.0, np.linalg.norm(hk)):
             converged = True
             break
-    if not converged or not np.all(np.isfinite(hk)):
+    if not converged:
         raise NotStabilizable("Riccati doubling iteration did not converge")
     p = hk
     gain = np.linalg.solve(r + b.T @ p @ b, b.T @ p @ a)

@@ -17,6 +17,7 @@ computed from (x[t], e[t]) first and u[t] follows.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +51,7 @@ __all__ = [
     "autocovariance",
     "signal_powers",
     "simulate",
+    "simulate_many",
     "random_innovation_model",
     "random_closed_loop",
 ]
@@ -286,7 +288,7 @@ def default_burn_in(cl: ClosedLoop) -> int:
     return int(np.ceil(10.0 / max(1.0 - sr, 1e-6)))
 
 
-# samples per block of simulate's stacked products
+# samples, over all runs, per block of simulate_many's stacked products
 _BLOCK = 4096
 
 
@@ -303,48 +305,115 @@ def simulate(cl: ClosedLoop, t_total: int, burn_in: int | None = None, seed: int
     ``burn_in`` steps.  ``burn_in=None`` uses ceil(10 / (1 - rho(A))).
     Identical seeds reproduce bit-identical trajectories.
 
-    Only the state recursion w <- A w + B_e e[t] + B_v v[t] runs one
-    sample at a time.  Per block of ``_BLOCK`` samples, the input terms
-    B_e e[t] and B_v v[t] are formed before it, and z = C_z w + D_e e +
-    D_v v after it, each as one stacked product (`_each`).  numpy
-    evaluates a stacked matrix-vector product as one gemv per row, the
-    same call that ``M @ x[t]`` makes, and the sums keep the per-sample
-    left-to-right order, so the result is bit-identical to the
-    per-sample loop.  A single gemm ``x @ M.T``, or pre-summing the two
-    input terms, would round differently.  The blocks bound the scratch
-    arrays, which would otherwise grow with a long burn-in.
+    This is the one-run case of `simulate_many`, which holds the
+    recursion and advances several runs in lockstep.  Each step writes
+    A w into a preallocated row and adds B_e e[t], then B_v v[t], in
+    place; a stacked matmul over k runs makes one gemv per run, the same
+    call as one run's ``np.dot``, so a run gives the same bits alone or
+    in lockstep with others, and the same bits as the per-sample loop.
     """
-    if t_total <= 0:
-        raise ValueError(f"t_total must be positive, got {t_total}")
+    return simulate_many(cl, [(t_total, seed)], burn_in)[0]
+
+
+def simulate_many(
+    cl: ClosedLoop, runs: Iterable[tuple[int, int]], burn_in: int | None = None
+) -> tuple[Trajectory, ...]:
+    """Simulate independent runs of the loop in lockstep.
+
+    ``runs`` holds ``(t_total, seed)`` pairs; run r is bit-identical to
+    ``simulate(cl, t_total, burn_in, seed)``.  Each run draws its own
+    noise from its own ``default_rng(seed)``, innovations first, then
+    excitation.
+
+    Only the state recursion w <- A w + B_e e[t] + B_v v[t] runs one
+    sample at a time, and it advances every run at once.  Per block of
+    ``_BLOCK // k`` steps of the k runs still going, the input terms
+    B_e e[t] and B_v v[t] of all k runs are formed before it, and
+    z = C_z w + D_e e + D_v v after it, each as one stacked product
+    (`_each`).  Each step writes into
+    preallocated rows: with one run, ``np.dot(A, w, out=...)``; with k
+    runs, one stacked matmul of A against the k states.  numpy
+    evaluates a stacked matrix-vector product as one gemv per row, the
+    same call that ``M @ x[t]`` and ``np.dot(A, w)`` make, and the two
+    in-place adds keep the per-sample left-to-right order, so each run
+    is bit-identical to the per-sample loop.  A single gemm ``x @ M.T``,
+    or pre-summing the two input terms, would round differently.  A run
+    that ends mid-block is padded with zero noise to the end of that
+    block only and leaves the stack at the next block boundary.  The
+    blocks bound the scratch arrays at about ``_BLOCK`` samples, however
+    many runs there are and however long the burn-in.
+    """
+    runs = list(runs)
+    if not runs:
+        raise ValueError("runs must hold at least one (t_total, seed) pair")
+    for t_total, _ in runs:
+        if t_total <= 0:
+            raise ValueError(f"t_total must be positive, got {t_total}")
     if burn_in is None:
         burn_in = default_burn_in(cl)
     if burn_in < 0:
         raise ValueError(f"burn_in must be nonnegative, got {burn_in}")
-    rng = np.random.default_rng(seed)
-    n = burn_in + t_total
     l_psi = np.linalg.cholesky(cl.plant.psi)
-    e = rng.standard_normal((n, cl.n_y)) @ l_psi.T
-    v = rng.standard_normal((n, cl.controller.n_v))
+    lengths = [burn_in + t_total for t_total, _ in runs]
+    noise = []
+    for n, (_, seed) in zip(lengths, runs):
+        rng = np.random.default_rng(seed)
+        e = rng.standard_normal((n, cl.n_y)) @ l_psi.T
+        noise.append((e, rng.standard_normal((n, cl.controller.n_v))))
+    zs = [np.empty((n, cl.n_z)) for n in lengths]
 
-    a = cl.a
-    w = np.zeros(cl.n_states)
-    z = np.empty((n, cl.n_z))
-    for start in range(0, n, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        e_b, v_b = e[block], v[block]
-        be, bv = _each(cl.b_e, e_b), _each(cl.b_v, v_b)
-        states = np.empty_like(be)
-        for t in range(len(states)):
-            states[t] = w
-            w = np.dot(a, w) + be[t] + bv[t]
-        z[block] = _each(cl.c_z, states) + _each(cl.d_e, e_b) + _each(cl.d_v, v_b)
+    a, add = cl.a, np.add
+    n_w = cl.n_states
+    active = list(range(len(runs)))
+    w = np.zeros((len(active), n_w))
+    start = 0
+    while active:
+        k = len(active)
+        m = min(max(_BLOCK // k, 1), max(lengths[r] for r in active) - start)
+        e_b = np.zeros((m, k, cl.n_y))
+        v_b = np.zeros((m, k, cl.controller.n_v))
+        for j, r in enumerate(active):
+            e, v = noise[r]
+            e_b[: len(e) - start, j] = e[start : start + m]
+            v_b[: len(v) - start, j] = v[start : start + m]
+        e_b, v_b = e_b.reshape(m * k, -1), v_b.reshape(m * k, -1)
+        be = _each(cl.b_e, e_b).reshape(m, k, n_w)
+        bv = _each(cl.b_v, v_b).reshape(m, k, n_w)
+        states = np.empty((m + 1, k, n_w))
+        states[0] = w
+        if k == 1:
+            rows, be, bv, product = states[:, 0], be[:, 0], bv[:, 0], np.dot
+        else:
+            rows, be, bv, product = states[..., None], be[..., None], bv[..., None], np.matmul
+        for cur, nxt, b1, b2 in zip(rows, rows[1:], be, bv):
+            product(a, cur, out=nxt)
+            add(nxt, b1, out=nxt)
+            add(nxt, b2, out=nxt)
+        z_b = (
+            _each(cl.c_z, states[:m].reshape(m * k, n_w))
+            + _each(cl.d_e, e_b)
+            + _each(cl.d_v, v_b)
+        ).reshape(m, k, cl.n_z)
+        for j, r in enumerate(active):
+            zs[r][start : start + m] = z_b[: lengths[r] - start, j]
+        start += m
+        going = [j for j, r in enumerate(active) if lengths[r] > start]
+        active, w = [active[j] for j in going], states[m, going]
     n_u = cl.n_u
-    return Trajectory(
-        u=z[burn_in:, :n_u].copy(),
-        y=z[burn_in:, n_u:].copy(),
-        e=e[burn_in:].copy(),
-        v=v[burn_in:].copy(),
-    )
+    trajs = []
+    for r in range(len(runs)):
+        # drop each run's full arrays once its trimmed copies exist
+        z, (e, v) = zs[r], noise[r]
+        zs[r] = noise[r] = None
+        trajs.append(
+            Trajectory(
+                u=z[burn_in:, :n_u].copy(),
+                y=z[burn_in:, n_u:].copy(),
+                e=e[burn_in:].copy(),
+                v=v[burn_in:].copy(),
+            )
+        )
+    return tuple(trajs)
 
 
 @dataclass(frozen=True)

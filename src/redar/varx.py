@@ -138,6 +138,10 @@ class VarxModel:
         return self.g[:, (lag - 1) * n_z : lag * n_z]
 
 
+# rows of D filled per reversed copy of z in build_regressors
+_ROWS = 4096
+
+
 def build_regressors(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Stack lag vectors and targets: returns (D, Y) with T rows each.
 
@@ -145,18 +149,25 @@ def build_regressors(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
     its lag blocks are z[t-1], z[t-2], ..., z[t-p] in that order and the
     target is the y part of z[t].
 
-    D is filled by one copy of a sliding window over z, whose entry
-    [i, :, k] is z[p + i - 1 - k], into a fresh C-contiguous array.  D
-    must stay C-contiguous: ``empirical_moments`` forms D^T D as one
-    syrk, and its rounding, which depends on the layout, carries through
-    Q_T to the fitted models and their certified errors.
+    Row i of D, z[p + i - 1], ..., z[i] flattened, is one contiguous
+    slice of the time-reversed, flattened z, so D is filled by copying
+    whole rows of a sliding window over it.  The reversed copy of z is
+    made ``_ROWS`` rows at a time, so it adds little to the peak memory
+    that D sets.  D is a fresh C-contiguous array and must stay so:
+    ``empirical_moments`` forms D^T D as one syrk, and its rounding,
+    which depends on the layout, carries through Q_T to the fitted
+    models and their certified errors.
     """
-    z, p, t = ds.z, ds.p, ds.t_count
-    window = np.lib.stride_tricks.sliding_window_view(z, p, axis=0)[:t, :, ::-1]
-    d = np.empty((t, p, ds.n_z))
-    np.copyto(d, window.transpose(0, 2, 1))
+    z, p, t, n_z = ds.z, ds.p, ds.t_count, ds.n_z
+    d = np.empty((t, p * n_z))
+    for i0 in range(0, t, _ROWS):
+        i1 = min(i0 + _ROWS, t)
+        # window j of this reversed stretch starts at z[i1 + p - 2 - j],
+        # which is where row i1 - 1 - j of D starts
+        flat = z[i0 : i1 + p - 1][::-1].ravel()
+        d[i0:i1] = np.lib.stride_tricks.sliding_window_view(flat, p * n_z)[::n_z][::-1]
     y = z[p:, ds.n_u :].copy()
-    return d.reshape(t, p * ds.n_z), y
+    return d, y
 
 
 def empirical_moments(d: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

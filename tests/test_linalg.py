@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -152,8 +154,11 @@ class TestRiccati:
         assert np.linalg.norm(resid) <= 1e-8 * (1.0 + np.linalg.norm(p))
 
     def test_unstabilizable_pair(self):
-        with pytest.raises(NotStabilizable):
-            solve_discrete_riccati([[2.0]], [[0.0]], [[1.0]], [[1.0]])
+        # the diverging iteration stops at its first non-finite norm, unwarned
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotStabilizable):
+                solve_discrete_riccati([[2.0]], [[0.0]], [[1.0]], [[1.0]])
 
 
 class TestKalmanGain:

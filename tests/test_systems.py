@@ -18,6 +18,7 @@ from redar import (
     random_innovation_model,
     signal_powers,
     simulate,
+    simulate_many,
     spectral_radius,
 )
 
@@ -202,6 +203,9 @@ class TestSimulate:
             simulate(dynamic_loop, 0)
         with pytest.raises(ValueError):
             simulate(dynamic_loop, 10, burn_in=-1)
+        for runs in ([], [(10, 0), (0, 1)], [(-3, 0)]):
+            with pytest.raises(ValueError):
+                simulate_many(dynamic_loop, runs)
 
     @pytest.mark.parametrize("block", [64, 4096])
     @pytest.mark.parametrize("burn_in", [0, 37, None])
@@ -229,6 +233,30 @@ class TestSimulate:
             assert np.array_equal(_each(m, x), rows), f"stacked matmul of {m.shape}"
         w = rng.standard_normal((200, cl.n_states))
         assert all(np.array_equal(np.dot(cl.a, row), cl.a @ row) for row in w), "np.dot"
+
+    @given(
+        st.lists(st.integers(1, 300), min_size=1, max_size=3),
+        st.sampled_from([0, 37, None]),
+        st.sampled_from(SIMULATE_DIMS),
+        seeds,
+    )
+    def test_lockstep_runs_match_single_runs(self, lengths, burn_in, dims, seed):
+        # with 64-sample blocks, runs end mid-block and span several blocks
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("redar.systems._BLOCK", 64)
+            cl = random_closed_loop(dims, 0.7, seed=np.random.SeedSequence([seed, 0]))
+            lead = default_burn_in(cl) if burn_in is None else burn_in
+            runs = [(t, np.random.SeedSequence([seed, 1, r])) for r, t in enumerate(lengths)]
+            trajs = simulate_many(cl, runs, burn_in=burn_in)
+            assert len(trajs) == len(runs)
+            for (t, run_seed), traj in zip(runs, trajs):
+                alone = simulate(cl, t, burn_in=burn_in, seed=run_seed)
+                e, v = full_noise(cl, lead + t, run_seed)
+                assert len(traj) == t
+                assert np.array_equal(traj.e, e[lead:])
+                assert np.array_equal(traj.v, v[lead:])
+                assert np.array_equal(traj.z, alone.z)
+                assert np.array_equal(traj.z, simulate_per_sample(cl, e, v)[lead:])
 
     def test_static_loop_passes_noise_through(self, static_loop):
         traj = simulate(static_loop, 100, burn_in=0, seed=1)

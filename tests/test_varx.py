@@ -110,6 +110,19 @@ class TestRegressors:
         via_loop = fit_from_moments(q, n, p=p, alpha=0.5, t=ds.t_count)
         assert np.array_equal(fit_varx(ds, alpha=0.5).g, via_loop.g)
 
+    @given(seeds, st.integers(1, 16), st.integers(0, 40), st.sampled_from([1, 2, 7]))
+    def test_copy_across_row_chunks(self, seed, p, extra, rows):
+        # D is filled a few rows at a time; chunk edges must not show
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("redar.varx._ROWS", rows)
+            z = rng_from(seed).standard_normal((p + 1 + extra, 3))
+            ds = Dataset(z=z, p=p, n_u=1, n_y=2)
+            d, y = build_regressors(ds)
+            d_loop, y_loop = build_regressors_per_lag(ds)
+            assert d.flags.c_contiguous
+            assert np.array_equal(d, d_loop)
+            assert np.array_equal(y, y_loop)
+
     def test_moment_input_checks(self):
         with pytest.raises(DimensionMismatch):
             empirical_moments(np.zeros((3, 2)), np.zeros((4, 1)))
