@@ -21,7 +21,6 @@ BASE = ExperimentConfig(
     t_sweep=tuple(2**k for k in range(8, 15)),
     test_length=10_000,
     rho_grid=32,
-    t0_candidates=8,
 )
 
 

@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
-from .errors import InvalidT0, RhoTooSmall, TBelowT0
+from .errors import InvalidT0, NumericalError, RhoTooSmall, TBelowT0
 from .kalman import steady_state_predictor
 from .linalg import StateSpace, _start_angles, frequency_response, hinf_norm, spectral_radius
 from .systems import ClosedLoop, noise_to_signal, signal_powers
@@ -143,7 +144,7 @@ def optimize_envelope(h_star: StateSpace, p: int, n_rho: int = 64) -> tuple[floa
     radii = np.geomspace(lo, hi, n_rho)
 
     def objective(level, k):
-        return tail_bound(level, radii[k], p, 1.0)
+        return tail_bound(level, radii[k], p)
 
     theta = _start_angles(poles)
     gains = frequency_response(h_star, radii[:, None] * np.exp(1j * theta))
@@ -161,15 +162,16 @@ def optimize_envelope(h_star: StateSpace, p: int, n_rho: int = 64) -> tuple[floa
     return float(radii[best[1]]), best_level
 
 
-def tail_bound(level: float, rho: float, p: int, z_power: float) -> float:
-    """Envelope bound on the truncated-memory term, L rho^{p+1}/(1-rho) ||z||."""
+def tail_bound(level: float, rho: float, p: int) -> float:
+    """Envelope bound on the truncated-memory gain, L rho^{p+1}/(1-rho);
+    the memory term of the error bound is this gain times ||z||."""
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
-    if not level >= 0 or not z_power >= 0:
-        raise ValueError("level and z_power must be nonnegative")
+    if not level >= 0:
+        raise ValueError("level must be nonnegative")
     if p < 0:
         raise ValueError(f"p must be nonnegative, got {p}")
-    return level * rho ** (p + 1) / (1.0 - rho) * z_power
+    return level * rho ** (p + 1) / (1.0 - rho)
 
 
 def moment_count(p: int, n_y: int, n_z: int) -> int:
@@ -208,7 +210,10 @@ class LedgerTerm:
     """One summand a T^{m - 1/2} exp(-rate T^{power}) of the error bound.
 
     ``k_contribution(t0)`` is a T0^m exp(-rate T0^power); for T >= T0 the
-    summand is then dominated by that constant over sqrt(T).
+    summand is then dominated by that constant over sqrt(T).  Where the
+    direct product overflows, or an overflowed a meets an exponential
+    that underflowed, both are taken through logarithms; inf stands for
+    a value that floats cannot resolve.
     """
 
     label: str
@@ -218,10 +223,21 @@ class LedgerTerm:
     power: float
 
     def value(self, t: float) -> float:
-        return self.a * t ** (self.m - 0.5) * _exp(-self.rate * t**self.power)
+        return self._scaled(t, self.m - 0.5)
 
     def k_contribution(self, t0: float) -> float:
-        return self.a * t0**self.m * _exp(-self.rate * t0**self.power)
+        return self._scaled(t0, self.m)
+
+    def _scaled(self, t: float, m: float) -> float:
+        # a t^m exp(-rate t^power)
+        try:
+            value = self.a * t**m * _or_inf(math.exp, -self.rate * t**self.power)
+        except OverflowError:
+            value = math.nan
+        if math.isnan(value):
+            exponent = math.log(self.a) + m * math.log(t) - self.rate * t**self.power
+            value = _or_inf(math.exp, exponent)
+        return math.inf if math.isnan(value) else value
 
     @property
     def t_max(self) -> float:
@@ -231,44 +247,51 @@ class LedgerTerm:
         return (self.m / (self.power * self.rate)) ** (1.0 / self.power)
 
 
-def _exp(x: float) -> float:
+def _or_inf(f, *args) -> float:
+    """``f(*args)``, or inf where that overflows."""
     try:
-        return math.exp(x)
+        return f(*args)
     except OverflowError:
         return math.inf
+
+
+# The ledger's named constants, in print order, with the formula of each.
+_FORMULAS = {
+    "b": "p ny nz + p nz (p nz + 1)/2",
+    "c1": "sqrt(p ny nz)",
+    "c2": "p nz",
+    "c3": "c1 + J^2 c2 / xi",
+    "c4": "J^2 alpha / xi",
+    "c5": "(4 c4 / xi)^2",
+    "c6": "alpha / (8 xi (2 c2 J^2 alpha / (xi^2 t0c^{1/4}) + c3))",
+    "c7": "c4 / (4 J^2 (4 c2 c4 / xi + c3))",
+    "c8": "2 b c5",
+    "c9": "8 b J^4 / alpha^2",
+    "c10": "8 b lam J^2 / alpha exp(J^2/(xi lam))",
+    "c11": "4 b lam^2 exp(J^2/(xi lam))",
+    "c12": "alpha lam / (2 J^2)",
+    "c13": "4 b sigma^2",
+    "c14": "8 b alpha sigma^2 / xi",
+    "c15": "2 sigma alpha / J^2",
+    "lam": "8 J^2 c3 / alpha",
+    "sigma": "4 c3 J^2 / alpha",
+    "epsilon0": "(2 J^2 alpha / (xi^2 T^{1/4}))^2 at T = t0",
+    "epsilon1": "(2 J^2 T / alpha)^2 at T = t0",
+}
 
 
 @dataclass(frozen=True)
 class ConstantLedger:
     """Every constant of the expected-error bound, with provenance tags.
 
-    The ledger is valid for sample sizes T >= t0; k dominates the sum of
-    all nine decay terms times sqrt(T) on that range.
+    ``constants`` maps each name of ``_FORMULAS`` to its value, in that
+    order, read-only.  The ledger is valid for sample sizes T >= t0; k
+    dominates the sum of all nine decay terms times sqrt(T) on that range.
     """
 
     inputs: BoundInputs
-    b: int
-    c1: float
-    c2: float
-    c3: float
-    c4: float
-    c5: float
-    c6: float
-    c7: float
-    c8: float
-    c9: float
-    c10: float
-    c11: float
-    c12: float
-    c13: float
-    c14: float
-    c15: float
-    lam: float
-    sigma: float
-    epsilon0: float
-    epsilon1: float
+    constants: MappingProxyType
     terms: tuple[LedgerTerm, ...]
-    t_max: tuple[float, ...]
     k_terms: tuple[float, ...]
     k: float
     t0: float
@@ -293,7 +316,8 @@ def build_ledger(inputs: BoundInputs, t0_candidate: float) -> ConstantLedger:
 
     The candidate must clear the hard floor; the returned threshold t0 is
     the candidate pushed up past every term's peak location, and each
-    k_i is its term's value at t0.
+    k_i is its term's value at t0.  Of the constants only epsilon1 grows
+    with t0; past the floating-point range it reads inf.
     """
     p, alpha, xi = inputs.p, inputs.alpha, inputs.xi
     j2 = inputs.j_norm**2
@@ -308,7 +332,7 @@ def build_ledger(inputs: BoundInputs, t0_candidate: float) -> ConstantLedger:
     c8 = 2.0 * b * c5
     c9 = 8.0 * b * j2**2 / alpha**2
     lam = 8.0 * j2 * c3 / alpha
-    growth = _exp(j2 / (xi * lam))
+    growth = _or_inf(math.exp, j2 / (xi * lam))
     c10 = 8.0 * b * lam * j2 / alpha * growth
     c11 = 4.0 * b * lam**2 * growth
     c12 = alpha * lam / (2.0 * j2)
@@ -329,33 +353,16 @@ def build_ledger(inputs: BoundInputs, t0_candidate: float) -> ConstantLedger:
         LedgerTerm("gaussian tail, growing factor", c13, 1.5, 1.0 / c15, 1.0),
         LedgerTerm("gaussian tail, constant factor", c14, 0.5, 1.0 / c15, 1.0),
     )
-    t_max = tuple(term.t_max for term in terms)
-    t0 = max(float(t0_candidate), *t_max)
+    t0 = max(float(t0_candidate), *(term.t_max for term in terms))
     k_terms = tuple(term.k_contribution(t0) for term in terms)
+    epsilon0 = (2.0 * j2 * alpha / (xi**2 * t0**0.25)) ** 2
+    epsilon1 = _or_inf(pow, 2.0 * j2 * t0 / alpha, 2)
+    values = (b, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12, c13, c14, c15)
+    values += (lam, sigma, epsilon0, epsilon1)
     return ConstantLedger(
         inputs=inputs,
-        b=b,
-        c1=c1,
-        c2=c2,
-        c3=c3,
-        c4=c4,
-        c5=c5,
-        c6=c6,
-        c7=c7,
-        c8=c8,
-        c9=c9,
-        c10=c10,
-        c11=c11,
-        c12=c12,
-        c13=c13,
-        c14=c14,
-        c15=c15,
-        lam=lam,
-        sigma=sigma,
-        epsilon0=(2.0 * j2 * alpha / (xi**2 * t0**0.25)) ** 2,
-        epsilon1=(2.0 * j2 * t0 / alpha) ** 2,
+        constants=MappingProxyType(dict(zip(_FORMULAS, values, strict=True))),
         terms=terms,
-        t_max=t_max,
         k_terms=k_terms,
         k=float(sum(k_terms)),
         t0=t0,
@@ -364,18 +371,25 @@ def build_ledger(inputs: BoundInputs, t0_candidate: float) -> ConstantLedger:
     )
 
 
-def select_ledger(inputs: BoundInputs, t_target: float, n_candidates: int = 16) -> ConstantLedger:
+def select_ledger(inputs: BoundInputs, t_target: float) -> ConstantLedger:
     """Scan threshold candidates and keep the best ledger for ``t_target``.
 
-    Candidates are geometrically spaced between the hard floor and the
-    target; among ledgers valid at the target (t0 <= t_target) the one
-    with the smallest bound value wins, otherwise the one with smallest t0.
+    Sixteen candidates are geometrically spaced between the hard floor
+    and the target; among ledgers valid at the target (t0 <= t_target)
+    the one with the smallest bound value wins, otherwise the one with
+    smallest t0.  Raises NumericalError when a ledger constant leaves
+    the floating-point range, as extreme alpha, xi or j_norm make it.
     """
-    floor = hard_floor(inputs.p, inputs.alpha, inputs.xi)
-    if t_target <= floor:
-        return build_ledger(inputs, floor)
-    candidates = np.geomspace(floor, t_target, n_candidates)
-    ledgers = [build_ledger(inputs, float(c)) for c in candidates]
+    try:
+        floor = hard_floor(inputs.p, inputs.alpha, inputs.xi)
+        if t_target <= floor:
+            return build_ledger(inputs, floor)
+        ledgers = [build_ledger(inputs, float(c)) for c in np.geomspace(floor, t_target, 16)]
+    except (OverflowError, ZeroDivisionError):
+        raise NumericalError(
+            f"ledger constants leave the floating-point range at alpha = {inputs.alpha!r}, "
+            f"xi = {inputs.xi!r}, j_norm = {inputs.j_norm!r}"
+        ) from None
     feasible = [led for led in ledgers if led.t0 <= t_target]
     if feasible:
         return min(feasible, key=lambda led: expected_error_bound(inputs, led, t_target))
@@ -395,7 +409,7 @@ def expected_error_bound(
     """
     if t < ledger.t0:
         raise TBelowT0(f"T = {t} is below the validity threshold t0 = {ledger.t0}")
-    tail_gain = tail_bound(inputs.level, inputs.rho, inputs.p, 1.0)
+    tail_gain = tail_bound(inputs.level, inputs.rho, inputs.p)
     if squared_tail:
         memory = tail_gain**2 * inputs.z_power**2
     else:
@@ -431,16 +445,10 @@ def model_error_detail(inputs: BoundInputs, theta: float, t: float) -> ModelErro
     threshold = (xi - 2.0 * alpha / t) / c2
     at_boundary = math.isclose(delta, threshold, rel_tol=1e-12) if threshold > 0 else False
     small = delta <= threshold
-    value_small = math.inf
+    value = t * numerator / alpha * p + inputs.phi
     if small or at_boundary:
         value_small = numerator / (xi - c2 * delta - alpha / t) * p + inputs.phi
-    value_large = t * numerator / alpha * p + inputs.phi
-    if at_boundary:
-        value = max(value_small, value_large)
-    elif small:
-        value = value_small
-    else:
-        value = value_large
+        value = max(value_small, value) if at_boundary else value_small
     return ModelErrorDetail(float(value), delta, small, at_boundary)
 
 
@@ -513,30 +521,6 @@ def bound_inputs(
     )
 
 
-_FORMULAS = {
-    "b": "p ny nz + p nz (p nz + 1)/2",
-    "c1": "sqrt(p ny nz)",
-    "c2": "p nz",
-    "c3": "c1 + J^2 c2 / xi",
-    "c4": "J^2 alpha / xi",
-    "c5": "(4 c4 / xi)^2",
-    "c6": "alpha / (8 xi (2 c2 J^2 alpha / (xi^2 t0c^{1/4}) + c3))",
-    "c7": "c4 / (4 J^2 (4 c2 c4 / xi + c3))",
-    "c8": "2 b c5",
-    "c9": "8 b J^4 / alpha^2",
-    "c10": "8 b lam J^2 / alpha exp(J^2/(xi lam))",
-    "c11": "4 b lam^2 exp(J^2/(xi lam))",
-    "c12": "alpha lam / (2 J^2)",
-    "c13": "4 b sigma^2",
-    "c14": "8 b alpha sigma^2 / xi",
-    "c15": "2 sigma alpha / J^2",
-    "lam": "8 J^2 c3 / alpha",
-    "sigma": "4 c3 J^2 / alpha",
-    "epsilon0": "(2 J^2 alpha / (xi^2 T^{1/4}))^2 at T = t0",
-    "epsilon1": "(2 J^2 T / alpha)^2 at T = t0",
-}
-
-
 def format_ledger(ledger: ConstantLedger) -> str:
     """Human-readable constant table with formula tags."""
     lines = [
@@ -546,13 +530,13 @@ def format_ledger(ledger: ConstantLedger) -> str:
         f"  hard floor = {ledger.floor!r}  # max(2a/xi, p, 4, 2a^2/xi^2)",
         f"  t0 candidate = {ledger.t0_candidate!r}",
     ]
-    for name in _FORMULAS:
-        lines.append(f"  {name} = {getattr(ledger, name)!r}  # {_FORMULAS[name]}")
+    for name, value in ledger.constants.items():
+        lines.append(f"  {name} = {value!r}  # {_FORMULAS[name]}")
     lines.append("  decay terms a T^(m - 1/2) exp(-rate T^power):")
-    for term, tmx, k_i in zip(ledger.terms, ledger.t_max, ledger.k_terms):
+    for term, k_i in zip(ledger.terms, ledger.k_terms):
         lines.append(
             f"    {term.label}: a={term.a!r} m={term.m!r} rate={term.rate!r} "
-            f"power={term.power!r} peak_at={tmx!r} k_i={k_i!r}"
+            f"power={term.power!r} peak_at={term.t_max!r} k_i={k_i!r}"
         )
     lines.append(f"  k = {ledger.k!r}  # sum of the nine k_i")
     lines.append(f"  t0 = {ledger.t0!r}  # max(candidate, every peak location)")

@@ -38,6 +38,7 @@ from .experiments import (
 from .linalg import spectral_radius
 from .realization import fit_redar, predict_with_model, prediction_mse
 from .serialize import (
+    _csv_text,
     load_config,
     load_dataset_csv,
     load_model,
@@ -196,25 +197,23 @@ def _cmd_bound(args) -> int:
         raise SchemaError(f"{args.loop} does not hold a closed-loop model")
     inputs = bound_inputs(model, config.p, config.alpha, config.phi, n_rho=config.rho_grid)
     target = args.t0_target if args.t0_target is not None else float(ts[-1])
-    ledger = select_ledger(inputs, target, config.t0_candidates)
-    lines = [",".join(BOUND_COLUMNS)]
+    ledger = select_ledger(inputs, target)
+    rows = []
     for t in ts:
         cells = bound_cells(ledger, config.theta, t)
         detail = cells.model_error
-        lines.append(
-            ",".join(
-                [
-                    str(t),
-                    "yes" if cells.valid else "no",
-                    render_bound(cells.expected, cells.valid),
-                    render_bound(cells.expected_alt, cells.valid),
-                    render_cell(detail.value),
-                    render_cell(detail.delta),
-                    "yes" if detail.small_deviation_branch else "no",
-                ]
-            )
+        rows.append(
+            [
+                str(t),
+                render_cell(cells.valid),
+                render_bound(cells.expected, cells.valid),
+                render_bound(cells.expected_alt, cells.valid),
+                render_cell(detail.value),
+                render_cell(detail.delta),
+                render_cell(detail.small_deviation_branch),
+            ]
         )
-    table = "\n".join(lines) + "\n"
+    table = _csv_text(BOUND_COLUMNS, rows)
     if args.out is not None:
         Path(args.out).write_text(table)
         print(f"wrote bound table to {args.out}")

@@ -13,6 +13,7 @@ validity threshold are marked invalid rather than dropped.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from .errors import RedarError, SchemaError
 from .kalman import finite_horizon_predictor
 from .linalg import hinf_norm, parallel_difference
 from .realization import fit_redar, prediction_mse, run_predictor
+from .serialize import _csv_text
 from .systems import ClosedLoop, Dims, random_closed_loop, simulate_many
 from .varx import Dataset
 
@@ -79,21 +81,18 @@ class ExperimentConfig:
     hinf_grid: int = 4096
     envelope_grid: int = 2048
     rho_grid: int = 64
-    t0_candidates: int = 16
 
     def __post_init__(self):
         # every message starts with the name of the field it is about
-        for name in ("n_x", "n_u", "n_y"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        Dims(self.n_x, self.n_u, self.n_y)
         if not 0.0 < self.spectral_target < 1.0:
             raise ValueError(f"spectral_target must lie in (0, 1), got {self.spectral_target}")
         if not self.noise_floor > 0:
             raise ValueError(f"noise_floor must be positive, got {self.noise_floor}")
         if self.p < 1:
             raise ValueError(f"p must be positive, got {self.p}")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if not self.phi >= 0:
             raise ValueError(f"phi must be nonnegative, got {self.phi}")
         if not 0.0 < self.theta < 1.0:
@@ -104,17 +103,19 @@ class ExperimentConfig:
             raise ValueError(f"t_sweep must be at least p = {self.p}, got {min(self.t_sweep)}")
         if list(self.t_sweep) != sorted(set(self.t_sweep)):
             raise ValueError("t_sweep must be strictly increasing")
+        if max(self.t_sweep) > sys.float_info.max:
+            raise ValueError(f"t_sweep entries must be at most {sys.float_info.max!r}")
         if self.test_length <= self.p:
             raise ValueError(f"test_length must exceed p = {self.p}, got {self.test_length}")
         if not self.seeds or min(self.seeds) < 0:
             raise ValueError("seeds must be nonempty and nonnegative")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds must not repeat, got {','.join(map(str, self.seeds))}")
         if self.burn_in is not None and self.burn_in < 0:
             raise ValueError("burn_in must be nonnegative")
         for name in ("hinf_grid", "envelope_grid", "rho_grid"):
             if getattr(self, name) < 8:
                 raise ValueError(f"{name} must be at least 8")
-        if self.t0_candidates < 1:
-            raise ValueError("t0_candidates must be positive")
         if not self.output_dir:
             raise ValueError("output_dir must be nonempty")
 
@@ -240,7 +241,7 @@ def run_seed(config: ExperimentConfig, seed: int, log=None) -> SeedOutcome:
     cl = seed_loop(config, seed)
     say(f"seed {seed}: loop with {cl.n_states} states, xi = {cl.xi:.4g}")
     inputs = bound_inputs(cl, config.p, config.alpha, config.phi, n_rho=config.rho_grid)
-    ledger = select_ledger(inputs, float(max(config.t_sweep)), config.t0_candidates)
+    ledger = select_ledger(inputs, float(max(config.t_sweep)))
     say(f"seed {seed}: t0 = {ledger.t0:.4g}, k = {ledger.k:.4g}")
     _, h_opt = finite_horizon_predictor(cl, config.p)
     test, train = simulate_many(
@@ -318,10 +319,6 @@ def render_cell(value) -> str:
         return ""
     if isinstance(value, bool):
         return "yes" if value else "no"
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf"
-        return repr(value)
     return str(value)
 
 
@@ -331,26 +328,19 @@ def render_bound(value, valid: bool, status: str = "ok") -> str:
     return "invalid" if status == "ok" and not valid else render_cell(value)
 
 
+def _report_cell(row: ReportRow, column: str) -> str:
+    if column in ("expected_bound", "expected_bound_alt"):
+        return render_bound(getattr(row, column), row.bound_valid, row.status)
+    return render_cell(getattr(row, column))
+
+
 def write_report(path, rows) -> None:
     """Report CSV with one row per (seed, sample size), stable column order.
 
     Bound cells of rows below the validity threshold read ``invalid``.
     """
-    lines = [",".join(REPORT_COLUMNS)]
-    for row in rows:
-        cells = [
-            render_bound(getattr(row, col), row.bound_valid, row.status)
-            if col in ("expected_bound", "expected_bound_alt")
-            else render_cell(getattr(row, col))
-            for col in REPORT_COLUMNS
-        ]
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _write_curve(path, header: str, pairs) -> None:
-    lines = [f"t,{header}"] + [f"{t},{cell}" for t, cell in pairs]
-    Path(path).write_text("\n".join(lines) + "\n")
+    cells = ([_report_cell(row, col) for col in REPORT_COLUMNS] for row in rows)
+    Path(path).write_text(_csv_text(REPORT_COLUMNS, cells))
 
 
 def write_outputs(result: ExperimentResult) -> Path:
@@ -368,17 +358,7 @@ def write_outputs(result: ExperimentResult) -> Path:
         if outcome.error is not None:
             continue
         (out / f"ledger_seed{outcome.seed}.txt").write_text(format_ledger(outcome.ledger))
-        _write_curve(
-            out / f"bound_seed{outcome.seed}.csv",
-            "bound",
-            (
-                (row.t, render_bound(row.expected_bound, row.bound_valid, row.status))
-                for row in outcome.rows
-            ),
-        )
-        _write_curve(
-            out / f"mse_seed{outcome.seed}.csv",
-            "mse",
-            ((row.t, render_cell(row.mse_fit)) for row in outcome.rows),
-        )
+        for name, column in (("bound", "expected_bound"), ("mse", "mse_fit")):
+            pairs = ((str(row.t), _report_cell(row, column)) for row in outcome.rows)
+            (out / f"{name}_seed{outcome.seed}.csv").write_text(_csv_text(("t", name), pairs))
     return out

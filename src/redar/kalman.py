@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import PredictorUnstable
 from .linalg import STABILITY_MARGIN, StateSpace, markov_parameters, spectral_radius
-from .realization import PredictorRealization, predictor_from_coefficients
+from .realization import PredictorRealization, _innovation_predictor, predictor_from_coefficients
 from .systems import ClosedLoop, InnovationModel, autocovariance
 from .varx import solve_normal_equations
 
@@ -112,13 +112,11 @@ def steady_state_predictor(plant: InnovationModel) -> StateSpace:
     Realization (A - KC, [B K], C, 0) driven by z = (u, y); requires
     rho(A - KC) < 1.
     """
-    a_pred = plant.a - plant.k @ plant.c
-    sr = spectral_radius(a_pred)
+    predictor = _innovation_predictor(plant)
+    sr = spectral_radius(predictor.a)
     if sr >= 1.0 - STABILITY_MARGIN:
         raise PredictorUnstable(f"rho(A - KC) = {sr:.9g}, needs < 1")
-    b = np.hstack([plant.b, plant.k])
-    d = np.zeros((plant.n_y, plant.n_u + plant.n_y))
-    return StateSpace(a_pred, b, plant.c, d)
+    return predictor
 
 
 def predictor_markov_blocks(plant: InnovationModel, count: int) -> np.ndarray:

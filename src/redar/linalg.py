@@ -35,6 +35,8 @@ __all__ = [
 # to count as stable; keeps Lyapunov solves well posed.
 STABILITY_MARGIN = 1e-9
 
+_HINF_TOL = 1e-6  # relative accuracy of hinf_norm
+
 
 def _as_matrix(m, rows=None, cols=None, name="matrix", square=False):
     """Validated read-only float copy of a 2-d matrix.
@@ -134,16 +136,14 @@ def solve_discrete_lyapunov(a, w) -> np.ndarray:
     p = scipy.linalg.solve_discrete_lyapunov(a, w)
     p = 0.5 * (p + p.T)
     tol = 1e-10 * (1.0 + float(np.linalg.norm(w)))
-    for _ in range(3):
+    for refinements in range(4):
         resid = p - a @ p @ a.T - w
-        if np.linalg.norm(resid) <= tol:
+        if (size := np.linalg.norm(resid)) <= tol:
             return p
+        if refinements == 3:
+            raise NumericalError(f"Lyapunov residual {size:.3e} exceeds tolerance {tol:.3e}")
         p = p + scipy.linalg.solve_discrete_lyapunov(a, 0.5 * (resid + resid.T))
         p = 0.5 * (p + p.T)
-    resid = np.linalg.norm(p - a @ p @ a.T - w)
-    if resid > tol:
-        raise NumericalError(f"Lyapunov residual {resid:.3e} exceeds tolerance {tol:.3e}")
-    return p
 
 
 def solve_discrete_riccati(a, b, q, r):
@@ -303,18 +303,19 @@ def _crossing_angles(ac, bc, cc, dc, gamma):
     return np.unique(2.0 * np.arctan(np.abs(axis.imag)))
 
 
-def hinf_norm(sys: StateSpace, tol: float = 1e-6) -> float:
+def hinf_norm(sys: StateSpace) -> float:
     """H-infinity norm of a stable discrete-time system.
 
     Level-set midpoint iteration (Bruinsma & Steinbuch 1990; Boyd &
     Balakrishnan 1990).  ``lo`` starts as the largest gain at z = 1, z = -1
     and the pole angles, or the largest Markov-parameter entry (D and
     C A^(k-1) B, k <= n: Fourier coefficients of G) if larger.  At
-    ``gamma = lo (1 + tol)`` the Hamiltonian of the bilinear-transformed
-    system gives the angles where G's singular values cross gamma; the
-    best gain at those angles and the midpoints between them becomes
-    ``lo`` while it exceeds gamma.  Otherwise gamma is certified: any
-    interval above it would hold a midpoint.
+    ``gamma = lo (1 + tol)``, tol = ``_HINF_TOL`` = 1e-6, the Hamiltonian
+    of the bilinear-transformed system gives the angles where G's
+    singular values cross gamma; the best gain at those angles and the
+    midpoints between them becomes ``lo`` while it exceeds gamma.
+    Otherwise gamma is certified: any interval above it would hold a
+    midpoint.
 
     Returns ``g`` with ``true <= g <= true * (1 + tol)``, or exactly 0.0
     when every Markov parameter is zero.
@@ -330,7 +331,7 @@ def hinf_norm(sys: StateSpace, tol: float = 1e-6) -> float:
     lo = max(_max_gain(sys, _start_angles(poles)), markov)
     cont = _bilinear_to_continuous(sys)
     while True:
-        gamma = lo * (1.0 + tol)
+        gamma = lo * (1.0 + _HINF_TOL)
         if not 0.0 < gamma * gamma < np.inf:
             raise NumericalError(f"level {gamma!r} is out of floating-point range")
         theta = _crossing_angles(*cont, gamma)

@@ -107,12 +107,18 @@ class IdentifiedModel:
 
     def predictor(self) -> StateSpace:
         """One-step predictor (A - K C, [B K], C, 0) driven by z."""
-        return StateSpace(
-            self.a - self.k @ self.c,
-            np.hstack([self.b, self.k]),
-            self.c,
-            np.zeros((self.n_y, self.n_u + self.n_y)),
-        )
+        return _innovation_predictor(self)
+
+
+def _innovation_predictor(model) -> StateSpace:
+    """One-step predictor (A - K C, [B K], C, 0), driven by z = (u, y), of
+    an innovation-form model: one with matrices a, b, c, k and sizes n_u, n_y."""
+    return StateSpace(
+        model.a - model.k @ model.c,
+        np.hstack([model.b, model.k]),
+        model.c,
+        np.zeros((model.n_y, model.n_u + model.n_y)),
+    )
 
 
 def predictor_from_coefficients(g, p: int, n_u: int, n_y: int) -> PredictorRealization:
@@ -133,11 +139,6 @@ def predictor_from_coefficients(g, p: int, n_u: int, n_y: int) -> PredictorReali
 
 def varx_to_predictor(model: VarxModel, n_u: int, n_y: int) -> PredictorRealization:
     """Delay-line realization of a fitted VARX model."""
-    if model.n_y != n_y or model.n_z != n_u + n_y:
-        raise DimensionMismatch(
-            f"model is ({model.n_y} by p*{model.n_z}), inconsistent with "
-            f"n_u = {n_u}, n_y = {n_y}"
-        )
     return predictor_from_coefficients(model.g, model.p, n_u, n_y)
 
 

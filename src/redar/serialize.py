@@ -213,13 +213,18 @@ def load_model(path):
     return loads_model(Path(path).read_text())
 
 
+def _csv_text(header, rows) -> str:
+    """CSV text of already rendered cells: the header and then each row,
+    comma-separated, one line each, with a closing newline."""
+    lines = [",".join(header)]
+    lines.extend(",".join(row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def save_dataset_csv(path, ds: Dataset) -> None:
     """Write the joint signal as CSV with u/y channel headers."""
     header = [f"u{i + 1}" for i in range(ds.n_u)] + [f"y{i + 1}" for i in range(ds.n_y)]
-    lines = [",".join(header)]
-    for row in ds.z:
-        lines.append(",".join(repr(float(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text(_csv_text(header, (map(repr, row.tolist()) for row in ds.z)))
 
 
 def load_dataset_csv(path, p: int) -> Dataset:

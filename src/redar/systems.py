@@ -427,7 +427,7 @@ class Dims:
     def __post_init__(self):
         for name in ("n_x", "n_u", "n_y"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 def random_pd(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -20,6 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatch, InsufficientData, NumericalError, OrderMismatch
+from .linalg import _as_matrix
 
 __all__ = [
     "Dataset",
@@ -51,23 +52,18 @@ class Dataset:
     n_y: int
 
     def __post_init__(self):
-        z = np.asarray(self.z, dtype=float)
-        if z.ndim != 2:
-            raise DimensionMismatch(f"z must be 2-d, got shape {z.shape}")
-        if self.n_u < 1 or self.n_y < 1 or z.shape[1] != self.n_u + self.n_y:
-            raise DimensionMismatch(
-                f"z has {z.shape[1]} columns, expected n_u + n_y = {self.n_u + self.n_y}"
-            )
+        # _as_matrix would read a 1-d z as one row
+        if np.ndim(self.z) != 2:
+            raise DimensionMismatch(f"z must be 2-d, got shape {np.shape(self.z)}")
+        if self.n_u < 1 or self.n_y < 1:
+            raise DimensionMismatch(f"n_u and n_y must be positive, got {self.n_u}, {self.n_y}")
+        z = _as_matrix(self.z, cols=self.n_u + self.n_y, name="z")
         if self.p < 1:
             raise ValueError(f"lag order must be positive, got {self.p}")
         if z.shape[0] < self.p + 1:
             raise InsufficientData(
                 f"need at least p + 1 = {self.p + 1} samples, got {z.shape[0]}"
             )
-        if not np.all(np.isfinite(z)):
-            raise ValueError("z contains non-finite entries")
-        z = z.copy()
-        z.setflags(write=False)
         object.__setattr__(self, "z", z)
 
     @property
@@ -107,19 +103,15 @@ class VarxModel:
     alpha: float
 
     def __post_init__(self):
-        g = np.atleast_2d(np.asarray(self.g, dtype=float))
+        g = _as_matrix(self.g, name="G")
         if self.p < 1:
             raise ValueError(f"lag order must be positive, got {self.p}")
         if g.shape[1] % self.p != 0:
             raise DimensionMismatch(
                 f"G has {g.shape[1]} columns, not divisible by p = {self.p}"
             )
-        if not np.all(np.isfinite(g)):
-            raise ValueError("G contains non-finite entries")
         if not self.alpha > 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
-        g = g.copy()
-        g.setflags(write=False)
         object.__setattr__(self, "g", g)
 
     @property

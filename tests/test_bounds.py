@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from redar import (
     BoundInputs,
     Dims,
     InvalidT0,
+    NumericalError,
     RhoTooSmall,
     StateSpace,
     TBelowT0,
@@ -188,28 +190,21 @@ class TestOptimizeEnvelope:
 
 class TestTailBound:
     def test_formula(self):
-        assert tail_bound(2.0, 0.5, 3, 4.0) == pytest.approx(2.0 * 0.5**4 / 0.5 * 4.0)
+        assert tail_bound(2.0, 0.5, 3) == pytest.approx(2.0 * 0.5**4 / 0.5)
 
-    @given(
-        level=st.floats(0.0, 100.0),
-        rho=st.floats(0.01, 0.99),
-        p=st.integers(0, 40),
-        z=st.floats(0.0, 100.0),
-    )
-    def test_shrinks_with_memory(self, level, rho, p, z):
-        assert tail_bound(level, rho, p + 1, z) <= tail_bound(level, rho, p, z)
+    @given(level=st.floats(0.0, 100.0), rho=st.floats(0.01, 0.99), p=st.integers(0, 40))
+    def test_shrinks_with_memory(self, level, rho, p):
+        assert tail_bound(level, rho, p + 1) <= tail_bound(level, rho, p)
 
     def test_guards(self):
         with pytest.raises(ValueError):
-            tail_bound(1.0, 1.0, 3, 1.0)
+            tail_bound(1.0, 1.0, 3)
         with pytest.raises(ValueError):
-            tail_bound(-1.0, 0.5, 3, 1.0)
+            tail_bound(-1.0, 0.5, 3)
         with pytest.raises(ValueError):
-            tail_bound(1.0, 0.5, -1, 1.0)
+            tail_bound(1.0, 0.5, -1)
         with pytest.raises(ValueError):
-            tail_bound(math.nan, 0.5, 3, 1.0)
-        with pytest.raises(ValueError):
-            tail_bound(1.0, 0.5, 3, math.nan)
+            tail_bound(math.nan, 0.5, 3)
 
 
 class TestMomentCount:
@@ -278,31 +273,35 @@ class TestHardFloor:
 
 class TestBuildLedger:
     def test_hand_checked_constants(self, unit_inputs):
-        led = build_ledger(unit_inputs, 10.0)
+        c = build_ledger(unit_inputs, 10.0).constants
         r2 = math.sqrt(2.0)
-        assert led.b == 5
-        assert led.c1 == pytest.approx(r2)
-        assert led.c2 == 2.0
-        assert led.c3 == pytest.approx(r2 + 2.0)
-        assert led.c4 == 1.0
-        assert led.c5 == 16.0
-        assert led.c6 == pytest.approx(1.0 / (8.0 * (4.0 / 10.0**0.25 + r2 + 2.0)))
-        assert led.c7 == pytest.approx(1.0 / (4.0 * (10.0 + r2)))
-        assert led.c8 == 160.0
-        assert led.c9 == 40.0
-        assert led.lam == pytest.approx(8.0 * (r2 + 2.0))
-        assert led.sigma == pytest.approx(4.0 * (r2 + 2.0))
-        assert led.c12 == pytest.approx(led.lam / 2.0)
-        assert led.c15 == pytest.approx(2.0 * led.sigma)
-        growth = math.exp(1.0 / led.lam)
-        assert led.c10 == pytest.approx(8.0 * 5.0 * led.lam * growth)
-        assert led.c11 == pytest.approx(4.0 * 5.0 * led.lam**2 * growth)
-        assert led.c13 == pytest.approx(4.0 * 5.0 * led.sigma**2)
-        assert led.c14 == pytest.approx(8.0 * 5.0 * led.sigma**2)
+        assert c["b"] == 5
+        assert c["c1"] == pytest.approx(r2)
+        assert c["c2"] == 2.0
+        assert c["c3"] == pytest.approx(r2 + 2.0)
+        assert c["c4"] == 1.0
+        assert c["c5"] == 16.0
+        assert c["c6"] == pytest.approx(1.0 / (8.0 * (4.0 / 10.0**0.25 + r2 + 2.0)))
+        assert c["c7"] == pytest.approx(1.0 / (4.0 * (10.0 + r2)))
+        assert c["c8"] == 160.0
+        assert c["c9"] == 40.0
+        assert c["lam"] == pytest.approx(8.0 * (r2 + 2.0))
+        assert c["sigma"] == pytest.approx(4.0 * (r2 + 2.0))
+        assert c["c12"] == pytest.approx(c["lam"] / 2.0)
+        assert c["c15"] == pytest.approx(2.0 * c["sigma"])
+        growth = math.exp(1.0 / c["lam"])
+        assert c["c10"] == pytest.approx(8.0 * 5.0 * c["lam"] * growth)
+        assert c["c11"] == pytest.approx(4.0 * 5.0 * c["lam"] ** 2 * growth)
+        assert c["c13"] == pytest.approx(4.0 * 5.0 * c["sigma"] ** 2)
+        assert c["c14"] == pytest.approx(8.0 * 5.0 * c["sigma"] ** 2)
+
+    def test_constants_are_read_only(self, unit_inputs):
+        with pytest.raises(TypeError):
+            build_ledger(unit_inputs, 10.0).constants["b"] = 6
 
     def test_threshold_clears_candidate_and_peaks(self, unit_inputs):
         led = build_ledger(unit_inputs, 10.0)
-        assert led.t0 == max(10.0, *led.t_max)
+        assert led.t0 == max(10.0, *(term.t_max for term in led.terms))
         assert led.floor == 4.0
         assert led.k == sum(led.k_terms)
         assert len(led.terms) == 9
@@ -319,8 +318,39 @@ class TestBuildLedger:
 
     def test_split_points_evaluated_at_threshold(self, unit_inputs):
         led = build_ledger(unit_inputs, 10.0)
-        assert led.epsilon0 == pytest.approx((2.0 / led.t0**0.25) ** 2)
-        assert led.epsilon1 == pytest.approx((2.0 * led.t0) ** 2)
+        assert led.constants["epsilon0"] == pytest.approx((2.0 / led.t0**0.25) ** 2)
+        assert led.constants["epsilon1"] == pytest.approx((2.0 * led.t0) ** 2)
+
+    @pytest.mark.parametrize("t0_candidate", [1e130, 1e200, 1e308])
+    def test_threshold_past_the_power_range(self, unit_inputs, t0_candidate):
+        # T0^m with m = 2.5 leaves the float range past T0 = 1e123 and
+        # epsilon1 past T0 = 1e154: the decay terms go through logarithms
+        # (their exponentials vanish there), epsilon1 reads inf
+        led = build_ledger(unit_inputs, t0_candidate)
+        assert led.t0 == t0_candidate
+        assert all(k_i == 0.0 for k_i in led.k_terms[1:])
+        assert led.k == led.k_terms[0] == 4.0
+        assert led.constants["epsilon1"] == (
+            math.inf if t0_candidate > 1e154 else (2.0 * t0_candidate) ** 2
+        )
+        assert led.terms[0].value(t0_candidate) == 4.0 / math.sqrt(t0_candidate)
+        assert all(term.value(t0_candidate) == 0.0 for term in led.terms[1:])
+
+    def test_terms_past_the_power_range(self):
+        # T^2.5 overflows at T = 1e130 though a T^2.5 exp(-T / 1e128) is
+        # about 3.7e281; an infinite a times an exponential that vanishes
+        # is left at the upper bound inf
+        term = redar.bounds.LedgerTerm("test", 1.0, 2.5, 1e-128, 1.0)
+        assert term.k_contribution(1e130) == pytest.approx(math.exp(2.5 * math.log(1e130) - 100.0))
+        assert term.value(1e130) == pytest.approx(math.exp(2.0 * math.log(1e130) - 100.0))
+        unresolved = redar.bounds.LedgerTerm("test", math.inf, 1.5, 1.0, 1.0)
+        assert unresolved.k_contribution(1e3) == math.inf
+
+    @pytest.mark.parametrize("alpha", [1e-200, 1e200])
+    def test_constants_out_of_float_range_raise(self, unit_inputs, alpha):
+        inputs = dataclasses.replace(unit_inputs, alpha=alpha)
+        with pytest.raises(NumericalError, match="floating-point range"):
+            select_ledger(inputs, 1e6)
 
 
 class TestSelectLedger:
@@ -358,7 +388,7 @@ class TestExpectedErrorBound:
         t = 1e12
         asymptote = (
             mild_inputs.e_power_sq
-            + tail_bound(mild_inputs.level, mild_inputs.rho, mild_inputs.p, 1.0)
+            + tail_bound(mild_inputs.level, mild_inputs.rho, mild_inputs.p)
             * mild_inputs.z_power
             + 2.0 * mild_inputs.phi * mild_inputs.z_power**2
         )
@@ -372,7 +402,7 @@ class TestExpectedErrorBound:
         t = 2.0**15
         base = expected_error_bound(mild_inputs, led, t)
         squared = expected_error_bound(mild_inputs, led, t, squared_tail=True)
-        gain = tail_bound(mild_inputs.level, mild_inputs.rho, mild_inputs.p, 1.0)
+        gain = tail_bound(mild_inputs.level, mild_inputs.rho, mild_inputs.p)
         expected_gap = gain**2 * mild_inputs.z_power**2 - gain * mild_inputs.z_power
         assert squared == pytest.approx(base + expected_gap, rel=1e-12)
 
@@ -471,3 +501,16 @@ class TestFormatLedger:
         assert text.count("k_i=") == 9
         assert f"t0 = {led.t0!r}" in text
         assert f"k = {led.k!r}" in text
+
+    def test_table_is_the_formula_list(self, mild_inputs):
+        # one line per name of the formula table, in its order, each
+        # name = repr(value)  # formula
+        led = select_ledger(mild_inputs, 2.0**15)
+        lines = format_ledger(led).split("\n")
+        start = lines.index(f"  t0 candidate = {led.t0_candidate!r}") + 1
+        formulas = redar.bounds._FORMULAS
+        assert list(led.constants) == list(formulas)
+        assert lines[start : start + len(formulas)] == [
+            f"  {name} = {led.constants[name]!r}  # {formula}" for name, formula in formulas.items()
+        ]
+        assert lines[start + len(formulas)].startswith("  decay terms")

@@ -2,13 +2,14 @@ import argparse
 import contextlib
 import dataclasses
 import io
+import math
 import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import redar.experiments
@@ -37,8 +38,7 @@ from redar.serialize import dumps_model
 TINY_EXPERIMENT = [
     "--n-x", "2", "--n-u", "1", "--n-y", "1", "--p", "2",
     "--t-sweep", "64,128", "--test-length", "256", "--seeds", "0",
-    "--hinf-grid", "64", "--envelope-grid", "64", "--rho-grid", "8",
-    "--t0-candidates", "4", "--quiet",
+    "--hinf-grid", "64", "--envelope-grid", "64", "--rho-grid", "8", "--quiet",
 ]
 
 
@@ -313,6 +313,92 @@ class TestBound:
         assert run_cli("bound", "--loop", str(path), "--t", "64") == 4
 
 
+@pytest.fixture(scope="module")
+def seed0_file(tmp_path_factory):
+    # the loop that `redar generate --seeds 0` writes
+    path = tmp_path_factory.mktemp("loops") / "loop_seed0.txt"
+    save_model(path, redar.experiments.seed_loop(ExperimentConfig(), 0))
+    return path
+
+
+def run_bound(loop, argv) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of ``redar bound`` on ``loop`` at
+    --rho-grid 8, in process, with every warning raised as an error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["bound", f"--loop={loop}", "--rho-grid=8", *argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_ends_cleanly(code, out, err):
+    """Exit 0 with a table of finite or infinite cells, or exit 1 to 4
+    with one redar: line and no traceback."""
+    assert code in range(5)
+    if code == 0:
+        assert err == ""
+        lines = out.split("\n")
+        start = lines.index(",".join(BOUND_COLUMNS)) + 1
+        end = lines.index("constant ledger")
+        for line in lines[start:end]:
+            cells = dict(zip(BOUND_COLUMNS, line.split(",")))
+            for name in ("expected_bound", "expected_bound_alt", "hinf_bound", "delta"):
+                if cells[name] != "invalid":
+                    assert not math.isnan(float(cells[name])), line
+    else:
+        assert err.startswith("redar: ") and err.count("\n") == 1
+
+
+class TestBoundEdges:
+    # huge sample sizes: T^2.5 and (2 J^2 T / alpha)^2 leave the float
+    # range in the ledger, and a T past it cannot become a float
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["--t=4,8", "--t0-target=1e130"], 0),
+            ([f"--t=4,{10**130}"], 0),
+            (["--t=4,8", "--t0-target=1e300"], 0),
+            ([f"--t=4,{10**400}"], 4),
+        ],
+    )
+    def test_huge_sample_sizes(self, seed0_file, argv, code):
+        result = run_bound(seed0_file, argv)
+        assert result[0] == code
+        assert_ends_cleanly(*result)
+
+    @settings(max_examples=200)
+    @given(
+        t=st.lists(
+            st.integers(0, 10**6).map(str)
+            | st.integers(0, 10**400).map(str)
+            | st.sampled_from(["", " ", "x", "1.5", "-3", "1e3", "nan"]),
+            min_size=1,
+            max_size=3,
+        ).map(",".join),
+        target=st.none()
+        | st.floats(1e-3, 1e308)
+        | st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -2.0]),
+        p=st.integers(1, 8),
+        alpha=st.none()
+        | st.floats(1e-3, 1e3)
+        | st.floats(1e-300, 1e300)
+        | st.sampled_from([math.nan, math.inf, 0.0, -1.0]),
+        phi=st.none() | st.floats(0.0, 10.0) | st.sampled_from([math.nan, math.inf, -1.0, 1e300]),
+        theta=st.none() | st.floats(0.01, 0.99) | st.sampled_from([math.nan, 0.0, 1.0, 1.5]),
+    )
+    @example(t="4,8", target=1e130, p=4, alpha=None, phi=None, theta=None)
+    @example(t=f"4,{10**130}", target=None, p=4, alpha=None, phi=None, theta=None)
+    @example(t=f"4,{10**400}", target=None, p=4, alpha=None, phi=None, theta=None)
+    @example(t="64", target=None, p=4, alpha=1e200, phi=None, theta=None)
+    @example(t="64", target=None, p=4, alpha=1e-200, phi=None, theta=None)
+    def test_flag_values_end_with_an_exit_code(self, seed0_file, t, target, p, alpha, phi, theta):
+        argv = [f"--t={t}", f"--p={p}"]
+        flags = {"t0-target": target, "alpha": alpha, "phi": phi, "theta": theta}
+        argv += [f"--{flag}={value!r}" for flag, value in flags.items() if value is not None]
+        assert_ends_cleanly(*run_bound(seed0_file, argv))
+
+
 class TestExperiment:
     def test_empty_output_dir_exits_4_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
         # an empty directory name would otherwise mean the working directory
@@ -337,7 +423,7 @@ class TestExperiment:
         config.write_text(
             "n_x = 2\nn_u = 1\nn_y = 1\np = 2\nt_sweep = 64\ntest_length = 256\n"
             "seeds = 0\nhinf_grid = 64\nenvelope_grid = 64\nrho_grid = 8\n"
-            f"t0_candidates = 4\noutput_dir = {tmp_path / 'from_config'}\n"
+            f"output_dir = {tmp_path / 'from_config'}\n"
         )
         flag_dir = tmp_path / "from_flag"
         code = run_cli(
@@ -349,11 +435,13 @@ class TestExperiment:
         report = (flag_dir / "report.csv").read_text().strip().split("\n")
         assert len(report) == 3
 
-    def test_unknown_config_key(self, tmp_path, capsys):
+    # t0_candidates was a setting once; select_ledger now always scans 16
+    @pytest.mark.parametrize("key", ["bogus", "t0_candidates"])
+    def test_unknown_config_key(self, tmp_path, capsys, key):
         config = tmp_path / "run.cfg"
-        config.write_text("bogus = 1\n")
+        config.write_text(f"{key} = 1\n")
         assert run_cli("experiment", "--config", str(config), "--quiet") == 4
-        assert "bogus" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"redar: unknown configuration key {key!r}\n"
 
     def test_bad_flag_value(self):
         assert run_cli("experiment", "--quiet", "--p", "four") == 4
@@ -458,6 +546,7 @@ BAD_SETTINGS = [
     ("generate", "--noise-floor", "-1"),
     ("generate", "--noise-floor", "nan"),
     ("generate", "--seeds", "-1"),
+    ("generate", "--seeds", "0,0"),
     ("fit", "--phi", "-1"),
     ("fit", "--phi", "nan"),
     ("fit", "--alpha", "0"),
@@ -473,9 +562,12 @@ BAD_SETTINGS = [
     ("bound", "--t0-target", "-1"),
     ("bound", "--t0-target", "nan"),
     ("bound", "--t0-target", "inf"),
+    ("bound", "--alpha", "inf"),
+    ("bound", "--t", f"4,{10**400}"),
     ("experiment", "--phi", "nan"),
     ("experiment", "--alpha", "nan"),
     ("experiment", "--seeds", "-1"),
+    ("experiment", "--seeds", "0,0"),
 ]
 
 
@@ -520,8 +612,11 @@ class TestSettings:
             ("bound", "--t", "2"),
             ("bound", "--t", "64,x"),
             ("bound", "--t", ","),
+            ("bound", "--t", f"4,{10**400}"),
             ("generate", "--n-y", "0"),
             ("experiment", "--alpha", "nan"),
+            ("experiment", "--seeds", "0,0"),
+            ("generate", "--seeds", "0,0"),
         ],
     )
     def test_message_names_the_flag(

@@ -34,7 +34,6 @@ TINY = ExperimentConfig(
     hinf_grid=64,
     envelope_grid=64,
     rho_grid=8,
-    t0_candidates=4,
 )
 
 
@@ -74,7 +73,10 @@ class TestConfig:
             {"seeds": ()},
             {"burn_in": -1},
             {"hinf_grid": 4},
-            {"t0_candidates": 0},
+            {"alpha": math.inf},
+            {"t_sweep": (256, 10**400)},
+            {"seeds": (0, 0)},
+            {"seeds": (3, 1, 3)},
             {"alpha": math.nan},
             {"phi": math.nan},
             {"noise_floor": math.nan},

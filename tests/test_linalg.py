@@ -220,15 +220,16 @@ class TestMarkovParameters:
 
 
 class TestGains:
-    def test_hinf_scalar_pole(self):
+    def test_hinf_scalar_pole(self, monkeypatch):
+        monkeypatch.setattr(redar.linalg, "_HINF_TOL", 1e-7)
         sys = StateSpace([[0.5]], [[1.0]], [[1.0]], [[0.0]])
-        assert abs(hinf_norm(sys, tol=1e-7) - 2.0) <= 1e-6
+        assert abs(hinf_norm(sys) - 2.0) <= 1e-6
 
     @given(seeds, st.integers(1, 5))
     def test_hinf_sandwich(self, seed, n):
         sys = random_system(rng_from(seed), n, 2, 2, target=0.6)
         dense = grid_gain(sys, n_points=4096)
-        norm = hinf_norm(sys, tol=1e-6)
+        norm = hinf_norm(sys)
         assert norm >= dense - 1e-12 * max(1.0, dense)
         # dense grid undershoots the true norm by far less than 0.1 percent
         # at this damping, and the certificate overshoots by at most tol
@@ -258,7 +259,7 @@ class TestGains:
         # (roundoff of the resolvent solve), hence the 1e-14 term
         shift = StateSpace(np.eye(8, k=-1), np.eye(8, 1), -np.eye(1, 8, 7), [[1.0]])
         assert grid_gain(shift, n_points=8) < 1e-12
-        norm = hinf_norm(shift, tol=1e-6)
+        norm = hinf_norm(shift)
         assert 2.0 <= norm <= 2.0 * (1.0 + 1e-6) * (1.0 + 1e-14)
 
     @pytest.mark.parametrize(
@@ -270,7 +271,7 @@ class TestGains:
         # 1/(z - a) peaks at 1/delta, delta = 1 - |a|; Hamiltonian
         # eigenvalues near the axis must not push the value out of band
         delta = 1.0 - abs(a)
-        norm = hinf_norm(StateSpace([[a]], [[1.0]], [[1.0]], [[0.0]]), tol=1e-6)
+        norm = hinf_norm(StateSpace([[a]], [[1.0]], [[1.0]], [[0.0]]))
         assert (1.0 - 1e-12) / delta <= norm <= (1.0 + 1e-6) * (1.0 + 1e-12) / delta
 
     def test_hinf_level_out_of_range_raises(self):
@@ -287,7 +288,7 @@ class TestGains:
         theta = np.linspace(w - 0.05, w + 0.05, 200_001)
         dense = np.abs(frequency_response(sys, np.exp(1j * theta))).max()
         assert grid_gain(sys, n_points=8) < 0.1 * dense
-        norm = hinf_norm(sys, tol=1e-6)
+        norm = hinf_norm(sys)
         assert dense <= norm <= dense * (1.0 + 2e-6)
 
     @settings(max_examples=50, deadline=None)
@@ -302,7 +303,7 @@ class TestGains:
     def test_hinf_matches_a_refined_dense_peak(self, seed, n, p, m, with_d, target):
         sys = random_system(rng_from(seed), n, m, p, target=target, with_d=with_d)
         dense = refined_peak(sys)
-        norm = hinf_norm(sys, tol=1e-6)
+        norm = hinf_norm(sys)
         assert dense * (1.0 - 1e-10) <= norm <= dense * (1.0 + 1e-5)
 
     @pytest.mark.parametrize("which", ["noise_map", "one_minus_z8"])
