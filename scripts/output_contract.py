@@ -1,6 +1,7 @@
 """Record what the standard redar commands print, return and write.
 
     python scripts/output_contract.py OUT_DIR
+    python scripts/output_contract.py --compare DIR_A DIR_B [--rtol R]
 
 Runs a fixed list of ``redar`` commands (generate, experiment, bound and
 fit, on seeds 0 and 3, and one fit at lag order 16) against the ``src``
@@ -12,11 +13,17 @@ arguments), ``NN-name.stdout``, ``NN-name.exit`` (its exit code) and
 ``<src>``.
 
 To check that a change keeps every output, run the script from each of
-two checkouts into its own directory and compare them with ``diff -r``.
+two checkouts into its own directory and compare the two with
+``--compare``.  It exits 0 when both hold the same files and every
+number that differs (a CSV cell, or a number in any other text) agrees
+within relative tolerance R, whose default 0 asks for byte-identical
+files.  Otherwise it lists each missing file, each text difference and
+each number beyond R, with its place and relative gap, and exits 1.
 """
 
 import argparse
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -55,10 +62,91 @@ def commands() -> list[tuple[str, list[str]]]:
     ]
 
 
+# a decimal number, optionally signed, with an optional exponent
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def relative_gap(a: str, b: str) -> float:
+    x, y = float(a), float(b)
+    return abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0
+
+
+def compare_lines(name: str, lines_a: list[str], lines_b: list[str]):
+    """(place, text_a, text_b, gap) for each difference between two files.
+
+    CSV files are compared cell by cell, other text number by number
+    around text that must match; gap is the relative gap of two numbers,
+    or None where text differs.
+    """
+    if len(lines_a) != len(lines_b):
+        yield "line count", str(len(lines_a)), str(len(lines_b)), None
+        return
+    header = lines_a[0].split(",") if name.endswith(".csv") and lines_a else None
+    for i, (a, b) in enumerate(zip(lines_a, lines_b), start=1):
+        if a == b:
+            continue
+        if header is not None:
+            xs, ys = a.split(","), b.split(",")
+            same_text = len(xs) == len(ys)
+            places = [f"line {i}, column {header[k] if k < len(header) else k + 1}"
+                      for k in range(len(xs))]
+        else:
+            xs, ys = NUMBER.findall(a), NUMBER.findall(b)
+            same_text = NUMBER.sub("#", a) == NUMBER.sub("#", b)
+            places = [f"line {i}, number {k}" for k in range(1, len(xs) + 1)]
+        if not same_text:
+            yield f"line {i}", a, b, None
+            continue
+        for place, x, y in zip(places, xs, ys):
+            if x != y:
+                numeric = NUMBER.fullmatch(x) and NUMBER.fullmatch(y)
+                yield place, x, y, relative_gap(x, y) if numeric else None
+
+
+def compare(dir_a: Path, dir_b: Path, rtol: float) -> int:
+    files_a = {p.relative_to(dir_a) for p in dir_a.rglob("*") if p.is_file()}
+    files_b = {p.relative_to(dir_b) for p in dir_b.rglob("*") if p.is_file()}
+    failed, within, worst = set(), 0, 0.0
+    for rel in sorted(files_a ^ files_b):
+        print(f"{rel}: only in {dir_a if rel in files_a else dir_b}")
+        failed.add(rel)
+    for rel in sorted(files_a & files_b):
+        raw_a, raw_b = (d.joinpath(rel).read_bytes() for d in (dir_a, dir_b))
+        if raw_a == raw_b:
+            continue
+        lines_a, lines_b = raw_a.decode().splitlines(), raw_b.decode().splitlines()
+        for place, x, y, gap in compare_lines(rel.name, lines_a, lines_b):
+            if rtol > 0 and gap is not None and gap <= rtol:
+                within, worst = within + 1, max(worst, gap)
+                continue
+            failed.add(rel)
+            what = "text differs" if gap is None else f"relative gap {gap:.3g}"
+            print(f"{rel}: {place}: {x!r} vs {y!r}: {what}")
+        if lines_a == lines_b:
+            print(f"{rel}: line endings differ")
+            failed.add(rel)
+    print(
+        f"{len(files_a | files_b)} files, {len(failed)} differ beyond rtol {rtol:g}; "
+        f"{within} numbers differ within it (largest relative gap {worst:.3g})"
+    )
+    return 1 if failed else 0
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("out_dir", type=Path, help="empty or new directory for the outputs")
-    out = ap.parse_args().out_dir
+    ap.add_argument("out_dir", type=Path, nargs="?", help="empty or new directory for the outputs")
+    ap.add_argument("--compare", type=Path, nargs=2, metavar=("DIR_A", "DIR_B"),
+                    help="compare two recorded directories instead of recording one")
+    ap.add_argument("--rtol", type=float, default=0.0,
+                    help="relative tolerance for numbers under --compare (default 0: identical)")
+    args = ap.parse_args()
+    if args.compare:
+        if args.out_dir is not None or not args.rtol >= 0:
+            ap.error("--compare takes two directories and a nonnegative --rtol, no OUT_DIR")
+        return compare(*args.compare, args.rtol)
+    if args.out_dir is None:
+        ap.error("give OUT_DIR, or --compare DIR_A DIR_B")
+    out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
     if any(out.iterdir()):
         ap.error(f"{out} is not empty")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PredictorUnstable
-from .linalg import STABILITY_MARGIN, StateSpace, markov_parameters, spectral_radius
+from .linalg import StateSpace, _require_stable, markov_parameters
 from .realization import PredictorRealization, _innovation_predictor, predictor_from_coefficients
 from .systems import ClosedLoop, InnovationModel, autocovariance
 from .varx import solve_normal_equations
@@ -113,9 +113,7 @@ def steady_state_predictor(plant: InnovationModel) -> StateSpace:
     rho(A - KC) < 1.
     """
     predictor = _innovation_predictor(plant)
-    sr = spectral_radius(predictor.a)
-    if sr >= 1.0 - STABILITY_MARGIN:
-        raise PredictorUnstable(f"rho(A - KC) = {sr:.9g}, needs < 1")
+    _require_stable(predictor.a, PredictorUnstable, "rho(A - KC) = {:.9g}, needs < 1")
     return predictor
 
 

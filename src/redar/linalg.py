@@ -102,12 +102,13 @@ def spectral_radius(a) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(a))))
 
 
-def _require_stable(a):
-    # Eigenvalues of a nonempty A, after checking its spectral radius.
+def _require_stable(a, error=NotStable, message="A has spectral radius {:.12g}, needs < 1"):
+    # Eigenvalues of A after the one stability check: a spectral radius sr
+    # at or above 1 - STABILITY_MARGIN raises error(message.format(sr)).
     poles = np.linalg.eigvals(a)
-    sr = float(np.max(np.abs(poles)))
+    sr = float(np.max(np.abs(poles), initial=0.0))
     if sr >= 1.0 - STABILITY_MARGIN:
-        raise NotStable(f"A has spectral radius {sr:.12g}, needs < 1")
+        raise error(message.format(sr))
     return poles
 
 

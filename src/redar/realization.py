@@ -7,13 +7,15 @@ most recent z samples (newest first) in the state:
     A = block down-shift (nilpotent),  B = inject z[t] into the top slot,
     C = G,                             D = 0.
 
-Balanced truncation of that realization gives the reduced predictor,
+The observer form (``observer_form``) realizes the same G on p n_y
+states; it serves as the reference predictor G_opt in experiments.
+Balanced truncation of the delay line gives the reduced predictor,
 and splitting the reduced input matrix into its u and y columns
 recovers a state-space model in innovation form: with B_r = [Bhat Khat]
 and Chat = C_r, the predictor of (Ahat, Bhat, Chat, Khat) with
 Ahat = A_r + Khat Chat is exactly the reduced system.
 
-Every predictor, delay line or reduced, runs through one routine,
+Every predictor, whatever its realization, runs through one routine,
 ``run_predictor``.  It evaluates the state recursion 64 samples at a
 time: within a block the outputs are O_L x0 + T_L z_blk (free response
 plus block-Toeplitz forced response) and the next block starts from
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import StateSpace, _as_matrix, balanced_truncate, markov_parameters
+from .linalg import StateSpace, _as_matrix, balanced_truncate
 from .varx import Dataset, VarxModel, _as_samples, fit_varx
 
 __all__ = [
@@ -36,6 +38,7 @@ __all__ = [
     "IdentifiedModel",
     "FitResult",
     "predictor_from_coefficients",
+    "observer_form",
     "varx_to_predictor",
     "reduce_predictor",
     "extract_innovation_form",
@@ -137,6 +140,21 @@ def predictor_from_coefficients(g, p: int, n_u: int, n_y: int) -> PredictorReali
     return PredictorRealization(StateSpace(a, b, g, d), kind="full")
 
 
+def observer_form(h_full: PredictorRealization) -> StateSpace:
+    """The delay line's predictor yhat[t] = G d[t] on p n_y states.
+
+    State block i holds the part of the output i steps ahead that the
+    samples seen so far fix: A = block up-shift, B = [G_1; ...; G_p]
+    (the lag blocks of G = C, newest first), C = [I 0 ... 0], D = 0.
+    """
+    if h_full.kind != "full":
+        raise ValueError("the observer form is read off a delay line")
+    n_y, n_z = h_full.n_y, h_full.ss.n_inputs
+    n = h_full.order // n_z * n_y
+    b = h_full.ss.c.reshape(n_y, -1, n_z).swapaxes(0, 1).reshape(n, n_z)
+    return StateSpace(np.eye(n, k=n_y), b, np.eye(n_y, n), h_full.ss.d)
+
+
 def varx_to_predictor(model: VarxModel, n_u: int, n_y: int) -> PredictorRealization:
     """Delay-line realization of a fitted VARX model."""
     return predictor_from_coefficients(model.g, model.p, n_u, n_y)
@@ -193,9 +211,10 @@ def fit_redar(ds: Dataset, alpha: float, phi: float) -> FitResult:
     return FitResult(varx=varx, full=full, reduced=reduced, certified_error=certified, model=model)
 
 
-# Samples per block of run_predictor.  Shorter blocks lengthen the
-# per-block state loop; T_L grows as L^2, so on 5- to 64-state
-# predictors the cost is flat from 32 to 64 and doubles by 128.
+# Samples per block of run_predictor; T_L grows as L^2.  One core: on
+# 4,096 to 10,000 samples, 8- to 64-state predictors take 0.5-1.1 ms at
+# L = 32, 0.8-1.4 ms at 64 and 2.4-3.4 ms at 128; on 2^17 samples a
+# 64-state one takes 24, 18 and 18 ms.
 _BLOCK = 64
 
 
@@ -216,9 +235,9 @@ def run_predictor(ss: StateSpace, z: np.ndarray) -> np.ndarray:
     R_L = [A^(L-1) B ... AB B].  This is the same recursion regrouped,
     not a truncated impulse response: only the summation order differs
     from a per-sample loop.  T_L and R_L act on all blocks in one
-    product each, a short loop carries the state across block starts,
-    and a last partial block of r samples uses the leading r-block
-    corner of O_L and T_L.
+    product each, a prefix scan of about log2(len(z) / L) stacked
+    products carries the state across block starts, and a last partial
+    block of r samples uses the leading r-block corner of O_L and T_L.
 
     Raises ValueError when z holds a non-finite entry: inside a block,
     0 * NaN in the upper triangle of T_L would reach earlier outputs.
@@ -235,26 +254,37 @@ def run_predictor(ss: StateSpace, z: np.ndarray) -> np.ndarray:
         return out
     block = min(_BLOCK, t_count)
     a, b, c = ss.a, ss.b, ss.c
-    krylov, observability = [b], [c]
-    for _ in range(block - 1):
-        krylov.append(a @ krylov[-1])
-        observability.append(observability[-1] @ a)
-    o_l = np.vstack(observability)
-    r_l = np.hstack(krylov[::-1])
-    a_l = np.linalg.matrix_power(a, block)
-    t_l = np.zeros((block, n_out, block, n_in))
-    row, col = np.tril_indices(block)
-    t_l[row, :, col, :] = markov_parameters(ss, block)[row - col]
-    t_l = t_l.reshape(block * n_out, block * n_in)
+    # [B AB ...] and [C; CA; ...] to w >= block terms by doubling, power = A^w
+    krylov, observability, power, width = b, c, a, 1
+    while width < block:
+        krylov = np.hstack([krylov, power @ krylov])
+        observability = np.vstack([observability, observability @ power])
+        power = power @ power
+        width *= 2
+    o_l = observability[: block * n_out]
+    n = ss.n_states
+    r_l = krylov[:, : block * n_in].reshape(n, block, n_in)[:, ::-1].reshape(n, block * n_in)
+    # T_L block (i, j) is Markov parameter i - j: D, then the C A^k B
+    # blocks of O_L B; lags above the diagonal are negative and read the
+    # zero blocks padded at the end
+    markov = np.zeros((2 * block - 1, n_out, n_in))
+    markov[0] = ss.d
+    markov[1:block] = (o_l[: (block - 1) * n_out] @ b).reshape(block - 1, n_out, n_in)
+    lag = np.subtract.outer(np.arange(block), np.arange(block))
+    t_l = np.take(markov, lag, axis=0).swapaxes(1, 2).reshape(block * n_out, block * n_in)
 
     n_full = t_count // block
     head = n_full * block
     z_full = z[:head].reshape(n_full, block * n_in)
-    drive = z_full @ r_l.T
-    starts = np.empty((n_full + 1, ss.n_states))
-    starts[0] = 0.0
-    for k in range(n_full):
-        starts[k + 1] = a_l @ starts[k] + drive[k]
+    # block starts x_(k+1) = A^L x_k + R_L z_k from x_0 = 0, as a prefix
+    # scan: after the pass with stride m each start holds its last 2m terms
+    starts = np.zeros((n_full + 1, n))
+    np.matmul(z_full, r_l.T, out=starts[1:])
+    a_l = power if width == block else np.linalg.matrix_power(a, block)
+    stride = 1
+    while stride < n_full:
+        starts[stride:] += starts[:-stride] @ a_l.T
+        a_l, stride = a_l @ a_l, 2 * stride
     y_full = out[:head].reshape(n_full, block * n_out)
     np.matmul(z_full, t_l.T, out=y_full)
     y_full += starts[:n_full] @ o_l.T
@@ -290,5 +320,5 @@ def prediction_mse(y: np.ndarray, yhat: np.ndarray, discard: int = 0) -> float:
         raise DimensionMismatch(f"shape mismatch {y.shape} vs {yhat.shape}")
     if discard >= y.shape[0]:
         raise ValueError("discard leaves no samples")
-    err = y[discard:] - yhat[discard:]
-    return float(np.mean(np.sum(err**2, axis=1)))
+    err = (y[discard:] - yhat[discard:]).ravel()
+    return float(err @ err) / (y.shape[0] - discard)

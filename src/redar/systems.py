@@ -27,12 +27,13 @@ from .errors import (
     DimensionMismatch,
     GenerationFailed,
     NotStabilizable,
+    NotStable,
     Unstable,
 )
 from .linalg import (
-    STABILITY_MARGIN,
     StateSpace,
     _as_matrix,
+    _require_stable,
     kalman_gain,
     markov_parameters,
     solve_discrete_lyapunov,
@@ -238,9 +239,7 @@ def assemble_closed_loop(plant: InnovationModel, controller: Controller) -> Clos
     d_e = np.vstack([d1f, np.eye(plant.n_y)])
     d_v = np.vstack([d2f, np.zeros((plant.n_y, controller.n_v))])
 
-    sr = spectral_radius(a)
-    if sr >= 1.0 - STABILITY_MARGIN:
-        raise Unstable(f"closed-loop spectral radius is {sr:.12g}")
+    _require_stable(a, Unstable, "closed-loop spectral radius is {:.12g}")
     cl = ClosedLoop(plant, controller, a, b_e, b_v, c_z, d_e, d_v)
     if not cl.xi > 1e-12:
         raise DegenerateNoise(f"joint noise covariance has lambda_min {cl.xi:.3e}")
@@ -496,11 +495,10 @@ def random_closed_loop(
                 d2f=d2f,
             )
             cl = assemble_closed_loop(plant, controller)
-        except (Unstable, DegenerateNoise, NotStabilizable, np.linalg.LinAlgError):
+            _require_stable(plant.a - plant.k @ plant.c)
+        except (Unstable, DegenerateNoise, NotStabilizable, NotStable, np.linalg.LinAlgError):
             continue
         if cl.xi <= noise_floor:
-            continue
-        if spectral_radius(plant.a - plant.k @ plant.c) >= 1.0 - STABILITY_MARGIN:
             continue
         return cl
     raise GenerationFailed(f"no admissible system after 100 attempts (seed {seed})")

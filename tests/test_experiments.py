@@ -146,6 +146,17 @@ class TestRunSeed:
             b.reduced_order,
         )
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_observer_form_gap_equals_the_delay_line_gap(self, seed, monkeypatch):
+        config = ExperimentConfig(t_sweep=(256, 1024), test_length=500, rho_grid=8)
+        observer = run_seed(config, seed)
+        monkeypatch.setattr("redar.experiments.observer_form", lambda h_full: h_full.ss)
+        delay_line = run_seed(config, seed)
+        for got, want in zip(observer.rows, delay_line.rows, strict=True):
+            assert got.status == want.status == "ok"
+            assert got.hinf_actual == pytest.approx(want.hinf_actual, rel=1e-9, abs=0)
+        assert observer.mse_oracle == pytest.approx(delay_line.mse_oracle, rel=1e-12, abs=0)
+
     def test_rows_cover_sweep_in_order(self):
         outcome = run_seed(TINY, 1)
         assert tuple(row.t for row in outcome.rows) == TINY.t_sweep

@@ -12,6 +12,8 @@ from redar import (
     VarxModel,
     extract_innovation_form,
     fit_redar,
+    markov_parameters,
+    observer_form,
     parallel_difference,
     predict_with_model,
     prediction_mse,
@@ -76,6 +78,39 @@ class TestDelayLine:
             PredictorRealization(h.ss, kind="other")
         # channel counts are read off the realization: z = (u, y) in, y out
         assert (h.n_u, h.n_y) == (1, 2)
+
+
+class TestObserverForm:
+    @given(seeds, st.integers(1, 6), st.integers(1, 3), st.integers(1, 3))
+    def test_markov_parameters_match_the_delay_line(self, seed, p, n_u, n_y):
+        g, h = random_predictor(seed, p, n_u, n_y)
+        obs = observer_form(h)
+        assert obs.n_states == p * n_y
+        want = impulse_blocks(h.ss, 2 * p)
+        got = markov_parameters(obs, 2 * p + 1)
+        assert not got[0].any()
+        assert np.abs(got[1:] - want).max() <= 1e-14 * np.abs(g).max()
+
+    @given(
+        seeds,
+        st.integers(1, 6),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.sampled_from([1, 63, 64, 65, 3 * 64 + 5]),
+    )
+    def test_run_predictor_matches_the_delay_line_loop(self, seed, p, n_u, n_y, length):
+        _, h = random_predictor(seed, p, n_u, n_y)
+        z = rng_from(seed + 1).standard_normal((length, n_u + n_y))
+        want = predictor_loop(h.ss, z)
+        got = run_predictor(observer_form(h), z)
+        scale = max(1.0, float(np.abs(want).max()))
+        assert np.abs(got - want).max() <= 1e-12 * scale
+
+    def test_requires_a_delay_line(self):
+        _, h = random_predictor(4)
+        reduced, _ = reduce_predictor(h, 0.1)
+        with pytest.raises(ValueError):
+            observer_form(reduced)
 
 
 class TestReduction:
@@ -218,6 +253,15 @@ class TestRunning:
 
 
 class TestMse:
+    @pytest.mark.parametrize("n_y", [1, 2, 3, 9])
+    @pytest.mark.parametrize("discard", [0, 4])
+    def test_matches_mean_of_row_sums(self, n_y, discard):
+        rng = rng_from(n_y)
+        y = rng.standard_normal((1000, n_y))
+        yhat = y + 0.1 * rng.standard_normal((1000, n_y))
+        want = np.mean([np.sum((y[t] - yhat[t]) ** 2) for t in range(discard, 1000)])
+        assert prediction_mse(y, yhat, discard) == pytest.approx(want, rel=1e-13, abs=0)
+
     def test_discard(self):
         y = np.zeros((5, 1))
         yhat = np.arange(5.0)[:, None]

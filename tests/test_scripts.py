@@ -37,3 +37,72 @@ def test_sweep_study_exits_nonzero_on_failed_seed(tmp_path, monkeypatch):
     study = load_script(next(p for p in SCRIPTS if p.name == "sweep_study.py"))
     assert study.main() == 3
     assert (out_dir / "report.csv").exists()
+
+
+class TestOutputContractCompare:
+    REPORT = "seed,t,mse_fit,hinf_actual\n0,256,0.5,0.125\n0,1024,0.25,0.0625\n"
+
+    @staticmethod
+    def write(root, files):
+        for name, text in files.items():
+            path = root / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+        return root
+
+    def run(self, a, b, capsys, monkeypatch, *rtol):
+        contract = load_script(next(p for p in SCRIPTS if p.name == "output_contract.py"))
+        argv = ["output_contract.py", "--compare", str(a), str(b), *rtol]
+        monkeypatch.setattr("sys.argv", argv)
+        code = contract.main()
+        return code, capsys.readouterr().out
+
+    def dirs(self, tmp_path, changes):
+        base = {
+            "experiment/report.csv": self.REPORT,
+            "01-fit.stdout": "reduced order 5, test mse 0.123456789\n",
+            "01-fit.exit": "0\n",
+        }
+        a = self.write(tmp_path / "a", base)
+        b = self.write(tmp_path / "b", {**base, **changes})
+        return a, b
+
+    def test_identical_directories_pass(self, tmp_path, capsys, monkeypatch):
+        a, b = self.dirs(tmp_path, {})
+        code, out = self.run(a, b, capsys, monkeypatch)
+        assert code == 0
+        assert "0 differ" in out
+
+    def test_csv_cell_within_and_beyond_the_tolerance(self, tmp_path, capsys, monkeypatch):
+        moved = self.REPORT.replace("0.0625", repr(0.0625 * (1 + 1e-12)))
+        a, b = self.dirs(tmp_path, {"experiment/report.csv": moved})
+        code, out = self.run(a, b, capsys, monkeypatch)
+        assert code == 1
+        assert "report.csv: line 3, column hinf_actual" in out
+        assert "relative gap 1e-12" in out
+        code, out = self.run(a, b, capsys, monkeypatch, "--rtol", "1e-9")
+        assert code == 0
+        assert "1 numbers differ within it (largest relative gap 1e-12)" in out
+
+    def test_number_in_text_beyond_the_tolerance(self, tmp_path, capsys, monkeypatch):
+        a, b = self.dirs(tmp_path, {"01-fit.stdout": "reduced order 5, test mse 0.1235\n"})
+        code, out = self.run(a, b, capsys, monkeypatch, "--rtol", "1e-9")
+        assert code == 1
+        assert "01-fit.stdout: line 1, number 2: '0.123456789' vs '0.1235'" in out
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"01-fit.stdout": "reduced order 5; test mse 0.123456789\n"},
+            {"01-fit.stdout": "reduced order 5, test mse 0.123456789"},
+            {"experiment/report.csv": REPORT.replace("0.125", "invalid")},
+            {"experiment/report.csv": REPORT + "1,256,0.5,0.125\n"},
+            {"extra.txt": "\n"},
+        ],
+        ids=["text", "trailing-newline", "csv-text-cell", "csv-row-count", "extra-file"],
+    )
+    def test_any_other_difference_fails(self, tmp_path, capsys, monkeypatch, changes):
+        a, b = self.dirs(tmp_path, changes)
+        code, out = self.run(a, b, capsys, monkeypatch, "--rtol", "1")
+        assert code == 1
+        assert "1 differ beyond rtol" in out

@@ -10,6 +10,8 @@ from redar import (
     Dims,
     GenerationFailed,
     InnovationModel,
+    NotStable,
+    PredictorUnstable,
     Unstable,
     assemble_closed_loop,
     autocovariance,
@@ -20,8 +22,10 @@ from redar import (
     simulate,
     simulate_many,
     spectral_radius,
+    steady_state_predictor,
 )
-
+from redar import systems
+from redar.linalg import STABILITY_MARGIN, _require_stable
 from redar.systems import _each, default_burn_in
 
 from .oracles import simulate_loop_direct, simulate_per_sample
@@ -325,3 +329,46 @@ class TestGenerators:
     def test_unreachable_noise_floor_fails(self):
         with pytest.raises(GenerationFailed):
             random_closed_loop(Dims(1, 1, 1), 0.5, seed=0, noise_floor=1e9)
+
+
+class TestStabilityMargin:
+    """One margin rule at every site that applies it: a spectral radius of
+    exactly 1 - STABILITY_MARGIN is rejected, the next float below accepted."""
+
+    AT = 1.0 - STABILITY_MARGIN
+    CASES = [(AT, False), (np.nextafter(AT, 0.0), True)]
+
+    @staticmethod
+    def plant(radius):
+        # A - K C = A = radius; under the shell controller the loop is diag(A, 0)
+        return InnovationModel(a=[[radius]], b=[[1.0]], c=[[1.0]], k=[[0.0]], psi=[[1.0]])
+
+    @staticmethod
+    def outcome(accepted, error, call, *args):
+        """call(*args) when accepted; otherwise check that it raises error."""
+        if accepted:
+            return call(*args)
+        with pytest.raises(error):
+            call(*args)
+
+    @pytest.mark.parametrize("radius, accepted", CASES)
+    def test_linalg(self, radius, accepted):
+        poles = self.outcome(accepted, NotStable, _require_stable, np.diag([radius, 0.5]))
+        assert not accepted or np.abs(poles).max() == radius
+
+    @pytest.mark.parametrize("radius, accepted", CASES)
+    def test_assemble_closed_loop(self, radius, accepted):
+        shell = unit_feedthrough_controller(1, 1)
+        cl = self.outcome(accepted, Unstable, assemble_closed_loop, self.plant(radius), shell)
+        assert not accepted or spectral_radius(cl.a) == radius
+
+    @pytest.mark.parametrize("radius, accepted", CASES)
+    def test_steady_state_predictor(self, radius, accepted):
+        pred = self.outcome(accepted, PredictorUnstable, steady_state_predictor, self.plant(radius))
+        assert not accepted or pred.a[0, 0] == radius
+
+    @pytest.mark.parametrize("radius, accepted", CASES)
+    def test_random_closed_loop(self, radius, accepted, monkeypatch):
+        monkeypatch.setattr(systems, "random_innovation_model", lambda *_: self.plant(radius))
+        cl = self.outcome(accepted, GenerationFailed, random_closed_loop, Dims(1, 1, 1), 0.5, 0)
+        assert not accepted or cl.plant.a[0, 0] == radius
