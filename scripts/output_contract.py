@@ -4,11 +4,12 @@
     python scripts/output_contract.py --compare DIR_A DIR_B [--rtol R]
 
 Runs a fixed list of ``redar`` commands (generate, experiment, bound and
-fit, on seeds 0 and 3, and one fit at lag order 16) against the ``src``
-tree of the checkout this script sits in, one after another, with
-OUT_DIR as the working directory, so every file a command writes lands
-in OUT_DIR.  Command ``NN-name`` also leaves ``NN-name.cmd`` (its
-arguments), ``NN-name.stdout``, ``NN-name.exit`` (its exit code) and
+fit, on seeds 0 and 3, one bound at a target its ledger meets and one
+fit at lag order 16) against the ``src`` tree of the checkout this
+script sits in, one after another, with OUT_DIR as the working
+directory, so every file a command writes lands in OUT_DIR.  Command
+``NN-name`` also leaves ``NN-name.cmd`` (its arguments),
+``NN-name.stdout``, ``NN-name.exit`` (its exit code) and
 ``NN-name.stderr``, in which the path of that ``src`` tree reads
 ``<src>``.
 
@@ -54,6 +55,9 @@ def commands() -> list[tuple[str, list[str]]]:
                                       "--out", f"fit_data_seed{seed}.txt"]),
         ]
     return out + [
+        # a target the seed-0 ledger meets, where select_ledger scans candidates
+        ("bound-met-target", ["bound", "--loop", "loops/loop_seed0.txt", "--t0-target", "1e20",
+                              "--t", "10000000000000000,100000000000000000000"]),
         ("fit-loop", ["fit", "--loop", "loops/loop_seed3.txt", "--out", "fit_loop.txt"]),
         ("fit-loop-p6", ["fit", "--loop", "loops/loop_seed3.txt", "--p", "6", "--phi", "0.1",
                          "--out", "fit_loop_p6.txt"]),

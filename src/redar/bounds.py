@@ -26,7 +26,7 @@ terms underflow to zero at practical T0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 
 import numpy as np
@@ -34,7 +34,7 @@ import numpy as np
 from .errors import InvalidT0, NumericalError, RhoTooSmall, TBelowT0
 from .kalman import steady_state_predictor
 from .linalg import StateSpace, _start_angles, frequency_response, hinf_norm, spectral_radius
-from .systems import ClosedLoop, noise_to_signal, signal_powers
+from .systems import ClosedLoop, _signal_powers, noise_to_signal
 
 __all__ = [
     "BoundInputs",
@@ -287,6 +287,8 @@ class ConstantLedger:
     ``constants`` maps each name of ``_FORMULAS`` to its value, in that
     order, read-only.  The ledger is valid for sample sizes T >= t0; k
     dominates the sum of all nine decay terms times sqrt(T) on that range.
+    ``target_met`` is set by ``select_ledger``: whether t0 reaches its
+    target, which decides how the candidate was chosen.
     """
 
     inputs: BoundInputs
@@ -297,6 +299,7 @@ class ConstantLedger:
     t0: float
     t0_candidate: float
     floor: float
+    target_met: bool | None = None
 
 
 def _moment_constants(inputs: BoundInputs) -> tuple[int, float, float, float, float]:
@@ -372,28 +375,63 @@ def build_ledger(inputs: BoundInputs, t0_candidate: float) -> ConstantLedger:
 
 
 def select_ledger(inputs: BoundInputs, t_target: float) -> ConstantLedger:
-    """Scan threshold candidates and keep the best ledger for ``t_target``.
+    """Pick the threshold candidate of the ledger for ``t_target``.
 
-    Sixteen candidates are geometrically spaced between the hard floor
-    and the target; among ledgers valid at the target (t0 <= t_target)
-    the one with the smallest bound value wins, otherwise the one with
-    smallest t0.  Raises NumericalError when a ledger constant leaves
-    the floating-point range, as extreme alpha, xi or j_norm make it.
+    Only the peaks of the T^(3/4) and sqrt(T) decay terms depend on the
+    candidate c, through c6, and both fall as c grows.  So the ledger at
+    c = max(floor, target) meets the target (t0 <= t_target) exactly when
+    some candidate up to the target does, and it decides the branch:
+
+    * target met: sixteen candidates geometrically spaced between the hard
+      floor and the target, the last being that ledger; the one with the
+      smallest bound value at the target wins, the first on ties;
+    * target missed: the ledger at the smallest threshold any candidate
+      gives, whose candidate equals its own t0 (``_self_consistent_ledger``).
+
+    Raises NumericalError when a ledger constant leaves the floating-point
+    range, as extreme alpha, xi or j_norm make it.
     """
     try:
         floor = hard_floor(inputs.p, inputs.alpha, inputs.xi)
-        if t_target <= floor:
-            return build_ledger(inputs, floor)
-        ledgers = [build_ledger(inputs, float(c)) for c in np.geomspace(floor, t_target, 16)]
+        endpoint = build_ledger(inputs, max(floor, float(t_target)))
+        if endpoint.t0 > t_target:
+            return replace(_self_consistent_ledger(inputs, floor), target_met=False)
+        # met, so floor <= t_target
+        scan = [build_ledger(inputs, float(c)) for c in np.geomspace(floor, t_target, 16)[:-1]]
     except (OverflowError, ZeroDivisionError):
         raise NumericalError(
             f"ledger constants leave the floating-point range at alpha = {inputs.alpha!r}, "
             f"xi = {inputs.xi!r}, j_norm = {inputs.j_norm!r}"
         ) from None
-    feasible = [led for led in ledgers if led.t0 <= t_target]
-    if feasible:
-        return min(feasible, key=lambda led: expected_error_bound(inputs, led, t_target))
-    return min(ledgers, key=lambda led: led.t0)
+    feasible = [led for led in scan if led.t0 <= t_target] + [endpoint]
+    best = min(feasible, key=lambda led: expected_error_bound(inputs, led, t_target))
+    return replace(best, target_met=True)
+
+
+def _self_consistent_ledger(inputs: BoundInputs, floor: float) -> ConstantLedger:
+    """The ledger at the smallest t0 of any candidate, with candidate t0.
+
+    In x = c^(1/4), with a = 2 c2 J^2 alpha / xi^2, the sqrt(T) peak lies
+    at or below c exactly when x^2 >= k2 (a + c3 x), k2 = 8 sqrt(2) xi /
+    alpha: from the positive root of that quadratic on.  The T^(3/4) peak
+    does when x^4 >= k4 (a + c3 x), k4 = 32 xi / (3 alpha); from that root
+    and the hard floor (c >= 4, so x^2 >= 2) on, x^4 >= 2 x^2 >=
+    2 k2 (a + c3 x) > k4 (a + c3 x), so it never binds.  When a peak that
+    does not depend on c lies above the root, or roundoff leaves the
+    sqrt(T) peak an ulp above it, the ledger is rebuilt at its own t0,
+    where c6 is no smaller and so neither peak is larger.  Each k_i falls
+    as c grows, so k is also the smallest at that t0.
+    """
+    _, _, c2, c3, _ = _moment_constants(inputs)
+    a = 2.0 * c2 * inputs.j_norm**2 * inputs.alpha / inputs.xi**2
+    k2 = 8.0 * math.sqrt(2.0) * inputs.xi / inputs.alpha
+    c = ((k2 * c3 + math.hypot(k2 * c3, 2.0 * math.sqrt(k2 * a))) / 2.0) ** 4
+    if not math.isfinite(c):
+        raise OverflowError("self-consistent threshold out of range")
+    ledger = build_ledger(inputs, max(floor, c))
+    if ledger.t0 > ledger.t0_candidate:
+        ledger = build_ledger(inputs, ledger.t0)
+    return ledger
 
 
 def expected_error_bound(
@@ -504,8 +542,9 @@ def bound_inputs(
     change no value or cost.
     """
     rho, level = optimize_envelope(steady_state_predictor(cl.plant), p, n_rho=n_rho)
-    z_power_sq, e_power_sq = signal_powers(cl)
-    j_norm = hinf_norm(noise_to_signal(cl))
+    j = noise_to_signal(cl)
+    z_power_sq, e_power_sq = _signal_powers(cl, j)
+    j_norm = hinf_norm(j)
     return BoundInputs(
         level=level,
         rho=rho,
@@ -519,6 +558,13 @@ def bound_inputs(
         alpha=alpha,
         phi=phi,
     )
+
+
+# select_ledger's branch, keyed by ConstantLedger.target_met
+_SELECTION = {
+    True: "target met: best of 16 candidates",
+    False: "target missed: self-consistent threshold",
+}
 
 
 def format_ledger(ledger: ConstantLedger) -> str:
@@ -540,4 +586,6 @@ def format_ledger(ledger: ConstantLedger) -> str:
         )
     lines.append(f"  k = {ledger.k!r}  # sum of the nine k_i")
     lines.append(f"  t0 = {ledger.t0!r}  # max(candidate, every peak location)")
+    if ledger.target_met is not None:
+        lines.append(f"  t0 selection: {_SELECTION[ledger.target_met]}")
     return "\n".join(lines) + "\n"

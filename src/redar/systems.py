@@ -269,16 +269,27 @@ def autocovariance(cl: ClosedLoop, max_lag: int) -> np.ndarray:
     if max_lag < 0:
         raise ValueError(f"max_lag must be nonnegative, got {max_lag}")
     j = noise_to_signal(cl)
-    p_state = solve_discrete_lyapunov(j.a, j.b @ j.b.T)
-    r0 = j.c @ p_state @ j.c.T + j.d @ j.d.T
+    p_state, r0 = _output_covariance(j)
     # cross covariance between the state at t+1 and z at t
     m = j.a @ p_state @ j.c.T + j.b @ j.d.T
     return markov_parameters(StateSpace(j.a, m, j.c, r0), max_lag + 1)
 
 
+def _output_covariance(j: StateSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Stationary state covariance P of ``j`` under unit white noise, and
+    its output covariance r[0] = C P C^T + D D^T."""
+    p_state = solve_discrete_lyapunov(j.a, j.b @ j.b.T)
+    return p_state, j.c @ p_state @ j.c.T + j.d @ j.d.T
+
+
 def signal_powers(cl: ClosedLoop) -> tuple[float, float]:
     """Stationary mean-square powers (E||z||^2, E||e||^2)."""
-    r0 = autocovariance(cl, 0)[0]
+    return _signal_powers(cl, noise_to_signal(cl))
+
+
+def _signal_powers(cl: ClosedLoop, j: StateSpace) -> tuple[float, float]:
+    """``signal_powers`` from the loop's noise-to-signal map ``j``."""
+    r0 = _output_covariance(j)[1]
     return float(np.trace(r0)), float(np.trace(cl.plant.psi))
 
 

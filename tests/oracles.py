@@ -3,14 +3,16 @@
 Everything here is deliberately written the slow, obvious way (series
 sums, explicit loops, textbook recursions) and shares no code with the
 implementations under test; ``envelope_scan_loop`` calls ``hinf_norm``,
-the kernel it is the exhaustive driver of.
+the kernel it is the exhaustive driver of, and the ledger scans call
+``build_ledger`` and ``expected_error_bound``, whose candidate choice
+they drive.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from redar import StateSpace, hinf_norm
+from redar import StateSpace, build_ledger, expected_error_bound, hard_floor, hinf_norm
 
 
 def lyapunov_series(a, w, max_terms=100_000, tol=1e-14):
@@ -246,3 +248,34 @@ def envelope_scan_loop(h_star, p, n_rho=64):
         if best is None or objective < best[0]:
             best = (objective, float(rho), level)
     return best[1], best[2]
+
+
+def ledger_scan(inputs, t_target):
+    """Ledger by the sixteen-candidate scan ``select_ledger`` once ran.
+
+    Candidates are geometrically spaced from the hard floor to the
+    target (the floor alone below it); among ledgers with t0 <= target
+    the first with the smallest bound at the target wins, otherwise the
+    first with the smallest t0.
+    """
+    floor = hard_floor(inputs.p, inputs.alpha, inputs.xi)
+    if t_target <= floor:
+        return build_ledger(inputs, floor)
+    ledgers = [build_ledger(inputs, float(c)) for c in np.geomspace(floor, t_target, 16)]
+    feasible = [led for led in ledgers if led.t0 <= t_target]
+    if feasible:
+        return min(feasible, key=lambda led: expected_error_bound(inputs, led, t_target))
+    return min(ledgers, key=lambda led: led.t0)
+
+
+def dense_ledger_scan(inputs, top=1e40, count=400):
+    """Ledgers at ``count`` candidates geometrically spaced from the hard
+    floor to ``top``, skipping any whose constants overflow."""
+    floor = hard_floor(inputs.p, inputs.alpha, inputs.xi)
+    out = []
+    for c in np.geomspace(floor, max(top, floor), count):
+        try:
+            out.append(build_ledger(inputs, float(c)))
+        except (OverflowError, ZeroDivisionError):
+            pass
+    return out

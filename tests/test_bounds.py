@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import redar.bounds
@@ -35,7 +35,7 @@ from redar import (
     tail_bound,
 )
 
-from .oracles import envelope_scan_loop
+from .oracles import dense_ledger_scan, envelope_scan_loop, ledger_scan
 from .support import random_system, rng_from
 
 
@@ -346,11 +346,12 @@ class TestBuildLedger:
         unresolved = redar.bounds.LedgerTerm("test", math.inf, 1.5, 1.0, 1.0)
         assert unresolved.k_contribution(1e3) == math.inf
 
-    @pytest.mark.parametrize("alpha", [1e-200, 1e200])
-    def test_constants_out_of_float_range_raise(self, unit_inputs, alpha):
+    @pytest.mark.parametrize("alpha", [1e-200, 1e-80, 1e155, 1e200])
+    @pytest.mark.parametrize("t_target", [1e6, 1e300])
+    def test_constants_out_of_float_range_raise(self, unit_inputs, alpha, t_target):
         inputs = dataclasses.replace(unit_inputs, alpha=alpha)
         with pytest.raises(NumericalError, match="floating-point range"):
-            select_ledger(inputs, 1e6)
+            select_ledger(inputs, t_target)
 
 
 class TestSelectLedger:
@@ -360,15 +361,89 @@ class TestSelectLedger:
         value = expected_error_bound(mild_inputs, led, 2.0**15)
         assert math.isfinite(value) and value > mild_inputs.e_power_sq
 
-    def test_target_below_floor_falls_back_to_floor(self, unit_inputs):
+    def test_target_below_floor_gives_self_consistent_threshold(self, unit_inputs):
         led = select_ledger(unit_inputs, 2.0)
-        assert led.t0_candidate == 4.0
+        assert not led.target_met
+        assert led.floor <= led.t0_candidate == led.t0 <= build_ledger(unit_inputs, 4.0).t0
 
     def test_infeasible_target_minimizes_threshold(self, unit_inputs):
         led = select_ledger(unit_inputs, 5.0)
         assert led.t0 > 5.0  # every candidate peaks later than this tiny target
         alt = build_ledger(unit_inputs, 4.0)
         assert led.t0 <= alt.t0 * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize(
+        "name, t_target",
+        [
+            ("unit_inputs", 5.0),
+            ("unit_inputs", 2.0**20),
+            ("mild_inputs", 4.0),
+            ("mild_inputs", 2.0**14),
+        ],
+    )
+    def test_missed_target_is_its_own_candidate(self, request, name, t_target):
+        inputs = request.getfixturevalue(name)
+        led = select_ledger(inputs, t_target)
+        assert not led.target_met and led.t0 > t_target
+        assert led.t0_candidate == led.t0
+        assert led == dataclasses.replace(build_ledger(inputs, led.t0), target_met=False)
+        # a candidate just below gives no smaller threshold
+        below = build_ledger(inputs, max(led.floor, led.t0 * (1.0 - 1e-9)))
+        assert below.t0 >= led.t0 * (1.0 - 1e-12)
+
+    def test_target_at_the_self_consistent_threshold(self, unit_inputs):
+        # the endpoint ledger at the exact threshold has t0 equal to the
+        # target, which it meets; one ulp lower it misses it
+        t0 = select_ledger(unit_inputs, 5.0).t0
+        met = select_ledger(unit_inputs, t0)
+        assert met.target_met and met.t0 <= t0
+        assert met == dataclasses.replace(ledger_scan(unit_inputs, t0), target_met=True)
+        missed = select_ledger(unit_inputs, math.nextafter(t0, 0.0))
+        assert not missed.target_met and missed.t0 == t0
+
+    def test_root_out_of_float_range_raises(self, unit_inputs, monkeypatch):
+        # alpha = 1e-200 puts the fixed point near 1e800; a stand-in
+        # endpoint that misses the target sends the selection to the root
+        inputs = dataclasses.replace(unit_inputs, alpha=1e-200)
+        endpoint = dataclasses.replace(build_ledger(unit_inputs, 4.0), t0=math.inf)
+        monkeypatch.setattr(redar.bounds, "build_ledger", lambda inputs, c: endpoint)
+        with pytest.raises(NumericalError, match="floating-point range"):
+            select_ledger(inputs, 1e6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        log_alpha=st.floats(-3.0, 3.0),
+        log_xi=st.floats(-3.0, 1.0),
+        log_j=st.floats(-1.0, 1.5),
+        log_target=st.floats(0.0, 40.0),
+        p=st.integers(1, 8),
+        n_u=st.integers(1, 3),
+        n_y=st.integers(1, 3),
+    )
+    @example(log_alpha=0.0, log_xi=0.0, log_j=0.0, log_target=0.0, p=1, n_u=1, n_y=1)
+    def test_against_dense_candidate_scan(self, log_alpha, log_xi, log_j, log_target, p, n_u, n_y):
+        inputs = BoundInputs(
+            level=1.0, rho=0.5, z_power=1.0, e_power_sq=1.0, j_norm=10.0**log_j,
+            xi=10.0**log_xi, p=p, n_u=n_u, n_y=n_y, alpha=10.0**log_alpha, phi=0.05,
+        )
+        t_target = 10.0**log_target
+        led = select_ledger(inputs, t_target)
+        dense = dense_ledger_scan(inputs)
+        if led.target_met:
+            # the sixteen-candidate scan as it was, and no candidate bounds lower
+            assert led == dataclasses.replace(ledger_scan(inputs, t_target), target_met=True)
+            value = expected_error_bound(inputs, led, t_target)
+            assert all(
+                value <= expected_error_bound(inputs, alt, t_target)
+                for alt in dense
+                if alt.t0 <= t_target
+            )
+        else:
+            # above the target, and below every candidate's threshold
+            assert t_target < led.t0 == led.t0_candidate
+            assert led.t0 <= min(alt.t0 for alt in dense)
+            below = build_ledger(inputs, max(led.floor, led.t0 * (1.0 - 1e-9)))
+            assert below.t0 >= led.t0 * (1.0 - 1e-12)
 
 
 class TestExpectedErrorBound:
@@ -501,6 +576,18 @@ class TestFormatLedger:
         assert text.count("k_i=") == 9
         assert f"t0 = {led.t0!r}" in text
         assert f"k = {led.k!r}" in text
+
+    @pytest.mark.parametrize(
+        "t_target, line",
+        [
+            (2.0**15, "  t0 selection: target met: best of 16 candidates"),
+            (2.0**10, "  t0 selection: target missed: self-consistent threshold"),
+        ],
+    )
+    def test_names_the_selection_branch(self, mild_inputs, t_target, line):
+        led = select_ledger(mild_inputs, t_target)
+        assert format_ledger(led).split("\n")[-2] == line
+        assert "selection" not in format_ledger(build_ledger(mild_inputs, led.t0))
 
     def test_table_is_the_formula_list(self, mild_inputs):
         # one line per name of the formula table, in its order, each

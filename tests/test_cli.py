@@ -367,6 +367,16 @@ class TestBoundEdges:
         assert result[0] == code
         assert_ends_cleanly(*result)
 
+    # alpha so far from unit scale that a ledger constant, or the threshold
+    # that selects the ledger, leaves the floating-point range
+    @pytest.mark.parametrize("alpha", ["1e-200", "1e-80", "1e155", "1e200"])
+    @pytest.mark.parametrize("target", [[], ["--t0-target=1e300"]])
+    def test_alpha_out_of_float_range_exits_1(self, seed0_file, alpha, target):
+        code, out, err = run_bound(seed0_file, ["--t=64", f"--alpha={alpha}", *target])
+        assert code == 1 and out == ""
+        assert err.startswith("redar: ledger constants leave the floating-point range")
+        assert err.count("\n") == 1
+
     @settings(max_examples=200)
     @given(
         t=st.lists(
@@ -435,7 +445,7 @@ class TestExperiment:
         report = (flag_dir / "report.csv").read_text().strip().split("\n")
         assert len(report) == 3
 
-    # t0_candidates was a setting once; select_ledger now always scans 16
+    # t0_candidates was a setting once; select_ledger now chooses the candidate itself
     @pytest.mark.parametrize("key", ["bogus", "t0_candidates"])
     def test_unknown_config_key(self, tmp_path, capsys, key):
         config = tmp_path / "run.cfg"
