@@ -20,6 +20,8 @@ number that differs (a CSV cell, or a number in any other text) agrees
 within relative tolerance R, whose default 0 asks for byte-identical
 files.  Otherwise it lists each missing file, each text difference and
 each number beyond R, with its place and relative gap, and exits 1.
+Each file whose differing numbers all lie within R gets one line: how
+many numbers moved, the largest relative gap and where it is.
 """
 
 import argparse
@@ -119,9 +121,12 @@ def compare(dir_a: Path, dir_b: Path, rtol: float) -> int:
         if raw_a == raw_b:
             continue
         lines_a, lines_b = raw_a.decode().splitlines(), raw_b.decode().splitlines()
+        moved, largest = 0, (0.0, "")
         for place, x, y, gap in compare_lines(rel.name, lines_a, lines_b):
             if rtol > 0 and gap is not None and gap <= rtol:
-                within, worst = within + 1, max(worst, gap)
+                moved += 1
+                if gap > largest[0]:
+                    largest = (gap, place)
                 continue
             failed.add(rel)
             what = "text differs" if gap is None else f"relative gap {gap:.3g}"
@@ -129,6 +134,10 @@ def compare(dir_a: Path, dir_b: Path, rtol: float) -> int:
         if lines_a == lines_b:
             print(f"{rel}: line endings differ")
             failed.add(rel)
+        if moved and rel not in failed:
+            print(f"{rel}: {moved} numbers moved within rtol {rtol:g}, "
+                  f"largest relative gap {largest[0]:.3g} at {largest[1]}")
+        within, worst = within + moved, max(worst, largest[0])
     print(
         f"{len(files_a | files_b)} files, {len(failed)} differ beyond rtol {rtol:g}; "
         f"{within} numbers differ within it (largest relative gap {worst:.3g})"

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import InvalidT0, NumericalError, RhoTooSmall, TBelowT0
 from .kalman import steady_state_predictor
-from .linalg import StateSpace, _start_angles, frequency_response, hinf_norm, spectral_radius
+from .linalg import StateSpace, _peak_gain, _start_angles, frequency_response, hinf_norm
 from .systems import ClosedLoop, _signal_powers, noise_to_signal
 
 __all__ = [
@@ -82,6 +82,9 @@ class BoundInputs:
     phi: float
 
     def __post_init__(self):
+        for name in ("level", "z_power", "e_power_sq", "j_norm", "xi", "alpha"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not 0.0 < self.rho < 1.0:
             raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
         if not (self.level >= 0 and self.z_power >= 0 and self.e_power_sq >= 0):
@@ -109,7 +112,7 @@ def gain_envelope(h_star: StateSpace, rho: float) -> float:
     ||H*(z)|| on all of |z| >= rho.  Raises RhoTooSmall unless rho exceeds
     the spectral radius of H*, and ValueError unless rho < 1.
     """
-    sr = spectral_radius(h_star.a)
+    sr = h_star._spectral_radius
     if rho <= sr:
         raise RhoTooSmall(f"rho = {rho} does not exceed the predictor spectral radius {sr:.6g}")
     if not rho < 1.0:
@@ -136,27 +139,21 @@ def optimize_envelope(h_star: StateSpace, p: int, n_rho: int = 64) -> tuple[floa
     """
     if n_rho < 1:
         raise ValueError("n_rho must be positive")
-    poles = np.linalg.eigvals(h_star.a)
-    sr = float(np.abs(poles).max(initial=0.0))
+    sr = h_star._spectral_radius
     lo, hi = sr + 1e-6, 1.0 - 1e-6
     if lo >= hi:
         raise RhoTooSmall(f"predictor spectral radius {sr:.9g} leaves no admissible rho")
     radii = np.geomspace(lo, hi, n_rho)
-
-    def objective(level, k):
-        return tail_bound(level, radii[k], p)
-
-    theta = _start_angles(poles)
-    gains = frequency_response(h_star, radii[:, None] * np.exp(1j * theta))
-    peaks = np.linalg.svd(gains, compute_uv=False).max(axis=-1, initial=0.0)
-    floor = peaks.reshape(n_rho, theta.size).max(axis=1) * (1.0 - 1e-9)
-    floor_objective = [objective(f, k) for k, f in enumerate(floor)]
+    theta = _start_angles(h_star._poles)
+    gains = _peak_gain(frequency_response(h_star, radii[:, None] * np.exp(1j * theta)))
+    floor = gains.reshape(n_rho, theta.size).max(axis=1) * (1.0 - 1e-9)
+    floor_objective = floor * radii ** (p + 1) / (1.0 - radii)
     best, best_level = (math.inf, n_rho), None
     for k in np.argsort(floor_objective, kind="stable"):
         if (floor_objective[k], k) > best:
             break
         level = gain_envelope(h_star, float(radii[k]))
-        key = (objective(level, k), k)
+        key = (tail_bound(level, radii[k], p), k)
         if key < best:
             best, best_level = key, level
     return float(radii[best[1]]), best_level
@@ -443,8 +440,11 @@ def expected_error_bound(
     budget term 2 phi ||z||^2 and the finite-sample term
     (2 k p / sqrt(T)) ||z||^2.  ``squared_tail`` switches the memory term
     to its squared variant (tail gain and signal norm both squared),
-    reported alongside the primary form.
+    reported alongside the primary form.  ``inputs`` must equal
+    ``ledger.inputs``: a ledger holds for the loop it was built for.
     """
+    if inputs is not ledger.inputs and inputs != ledger.inputs:
+        raise ValueError("the ledger was built for other inputs than these")
     if t < ledger.t0:
         raise TBelowT0(f"T = {t} is below the validity threshold t0 = {ledger.t0}")
     tail_gain = tail_bound(inputs.level, inputs.rho, inputs.p)

@@ -113,7 +113,7 @@ def steady_state_predictor(plant: InnovationModel) -> StateSpace:
     rho(A - KC) < 1.
     """
     predictor = _innovation_predictor(plant)
-    _require_stable(predictor.a, PredictorUnstable, "rho(A - KC) = {:.9g}, needs < 1")
+    _require_stable(predictor, PredictorUnstable, "rho(A - KC) = {:.9g}, needs < 1")
     return predictor
 
 

@@ -11,6 +11,7 @@ square-root balanced truncation.  All systems are discrete time,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -91,6 +92,16 @@ class StateSpace:
     def n_outputs(self) -> int:
         return self.c.shape[0]
 
+    @cached_property
+    def _poles(self) -> np.ndarray:
+        # Eigenvalues of A, computed once per realization (A is read-only).
+        return np.linalg.eigvals(self.a)
+
+    @property
+    def _spectral_radius(self) -> float:
+        # spectral_radius(A) from the cached poles (0 for no states)
+        return float(np.abs(self._poles).max(initial=0.0))
+
 
 def spectral_radius(a) -> float:
     """Largest eigenvalue magnitude of a square matrix (0 for empty)."""
@@ -103,10 +114,14 @@ def spectral_radius(a) -> float:
 
 
 def _require_stable(a, error=NotStable, message="A has spectral radius {:.12g}, needs < 1"):
-    # Eigenvalues of A after the one stability check: a spectral radius sr
-    # at or above 1 - STABILITY_MARGIN raises error(message.format(sr)).
-    poles = np.linalg.eigvals(a)
-    sr = float(np.max(np.abs(poles), initial=0.0))
+    # Eigenvalues of A, a matrix or a StateSpace's cached poles, after the
+    # one stability check: a spectral radius sr at or above
+    # 1 - STABILITY_MARGIN raises error(message.format(sr)).
+    if isinstance(a, StateSpace):
+        poles, sr = a._poles, a._spectral_radius
+    else:
+        poles = np.linalg.eigvals(a)
+        sr = float(np.max(np.abs(poles), initial=0.0))
     if sr >= 1.0 - STABILITY_MARGIN:
         raise error(message.format(sr))
     return poles
@@ -133,6 +148,12 @@ def solve_discrete_lyapunov(a, w) -> np.ndarray:
     if n == 0:
         return np.zeros((0, 0))
     _require_stable(a)
+    return _lyapunov(a, w)
+
+
+def _lyapunov(a, w) -> np.ndarray:
+    # solve_discrete_lyapunov for an A already checked stable: the solve
+    # and up to three residual refinements.
     w = 0.5 * (w + w.T)
     p = scipy.linalg.solve_discrete_lyapunov(a, w)
     p = 0.5 * (p + p.T)
@@ -233,11 +254,10 @@ def frequency_response(sys: StateSpace, zs) -> np.ndarray:
     n = sys.n_states
     if n == 0:
         return np.broadcast_to(sys.d.astype(complex), (zs.size,) + sys.d.shape).copy()
-    eye = np.eye(n)
-    resolvent_rhs = np.broadcast_to(sys.b.astype(complex), (zs.size, n, sys.n_inputs))
-    shifted = zs[:, None, None] * eye - sys.a
-    x = np.linalg.solve(shifted, resolvent_rhs)
-    return sys.c @ x + sys.d
+    shifted = zs[:, None, None] * np.eye(n) - sys.a
+    # B as a stack of one matrix: numpy < 2 reads an (n, m) right-hand
+    # side of an (k, n, n) stack as n vectors
+    return sys.c @ np.linalg.solve(shifted, sys.b[None]) + sys.d
 
 
 def markov_parameters(sys: StateSpace, count: int) -> np.ndarray:
@@ -265,41 +285,78 @@ def _start_angles(poles) -> np.ndarray:
     return np.unique(np.concatenate([[0.0, np.pi], np.abs(np.angle(poles))]))
 
 
+def _peak_gain(h) -> np.ndarray:
+    # Largest singular value of each matrix of a stack (..., p, m): the
+    # square root of the top eigenvalue of its smaller Gram matrix, H H^*
+    # or H^* H, or its norm when p or m is 1 (0 when empty).  Each matrix is
+    # first divided by its largest real or imaginary part, so no square
+    # overflows.
+    h = np.ascontiguousarray(h, dtype=complex)
+    parts = h.view(float)  # real and imaginary parts side by side
+    scale = np.abs(parts).max(axis=(-2, -1), initial=0.0, keepdims=True)
+    scale[scale == 0.0] = 1.0
+    if min(h.shape[-2:]) <= 1:
+        top = np.square(parts / scale).sum(axis=(-2, -1))
+    else:
+        h = h / scale
+        if h.shape[-2] > h.shape[-1]:
+            h = h.swapaxes(-1, -2)
+        gram = h @ h.conj().swapaxes(-1, -2)
+        if gram.shape[-1] == 2:
+            # (a + d)/2 + |((a - d)/2, b)|: a sum of nonnegative terms
+            a, d = gram[..., 0, 0].real, gram[..., 1, 1].real
+            top = 0.5 * (a + d) + np.hypot(0.5 * (a - d), np.abs(gram[..., 0, 1]))
+        else:
+            top = np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0)
+    return np.sqrt(top) * scale[..., 0, 0]
+
+
 def _max_gain(sys: StateSpace, theta) -> float:
     # Largest singular value of G(exp(i theta)) over the given angles.
     h = frequency_response(sys, np.exp(1j * np.asarray(theta, dtype=float)))
-    return float(np.linalg.svd(h, compute_uv=False)[:, 0].max())
+    return float(_peak_gain(h).max())
 
 
 def _bilinear_to_continuous(sys: StateSpace):
     # z = (1 + s) / (1 - s) maps the unit circle onto the imaginary axis
-    # and preserves the H-infinity norm exactly.
+    # and preserves the H-infinity norm exactly.  With X = (A + I)^{-1}
+    # from one solve: A_c = I - 2 X, B_c = sqrt(2) X B, C_c = sqrt(2) C X
+    # and D_c = D - C X B.
     n = sys.n_states
     ident = np.eye(n)
-    f = np.linalg.solve(sys.a + ident, np.hstack([sys.a - ident, sys.b]))
-    ac, bc_half = f[:, :n], f[:, n:]
-    cc_half = np.linalg.solve((sys.a + ident).T, sys.c.T).T
-    dc = sys.d - cc_half @ sys.b
-    return ac, np.sqrt(2.0) * bc_half, np.sqrt(2.0) * cc_half, dc
+    f = np.linalg.solve(sys.a + ident, np.hstack([ident, sys.b]))
+    x, bc_half = f[:, :n], f[:, n:]
+    cc_half = sys.c @ x
+    dc = sys.d - sys.c @ bc_half
+    return ident - 2.0 * x, np.sqrt(2.0) * bc_half, np.sqrt(2.0) * cc_half, dc
+
+
+def _hamiltonian(ac, bc, cc, dc, gamma) -> np.ndarray:
+    # Hamiltonian of the continuous-time system at level gamma, whose
+    # imaginary eigenvalues s = i w are where a singular value of G equals
+    # gamma; R = gamma^2 I - D^T D > 0 as gamma > ||D|| = ||G(-1)||.  With
+    # [X1 X2] = R^{-1} [D^T C, B^T] from one solve it is
+    #   [ A + B X1                  B X2          ]
+    #   [ -(C^T C + (D^T C)^T X1)   -(A + B X1)^T ].
+    n = ac.shape[0]
+    r = gamma * gamma * np.eye(dc.shape[1]) - dc.T @ dc
+    dtc = dc.T @ cc
+    x = np.linalg.solve(r, np.hstack([dtc, bc.T]))
+    ham = np.empty((2 * n, 2 * n))
+    np.matmul(bc, x, out=ham[:n])
+    ham[:n, :n] += ac
+    ham[n:, :n] = -(cc.T @ cc + dtc.T @ x[:, :n])
+    ham[n:, n:] = -ham[:n, :n].T
+    return ham
 
 
 def _crossing_angles(ac, bc, cc, dc, gamma):
     # Angles theta = 2 atan(w) in [0, pi] of the Hamiltonian eigenvalues
-    # on (or within the test's reach of) the imaginary axis s = i w: where
-    # a singular value of G equals gamma.  R > 0 as gamma > ||G(-1)||.
-    r = gamma * gamma * np.eye(dc.shape[1]) - dc.T @ dc
-    r_inv_dt = np.linalg.solve(r, dc.T)
-    r_inv_bt = np.linalg.solve(r, bc.T)
-    a_loop = ac + bc @ r_inv_dt @ cc
-    ham = np.block(
-        [
-            [a_loop, bc @ r_inv_bt],
-            [-cc.T @ (np.eye(dc.shape[0]) + dc @ r_inv_dt) @ cc, -a_loop.T],
-        ]
-    )
-    if not np.all(np.isfinite(ham)):
-        raise NumericalError(f"the Hamiltonian at level {gamma:.6g} is not finite")
-    eig = np.linalg.eigvals(ham)
+    # on (or within the test's reach of) the imaginary axis s = i w.
+    try:
+        eig = np.linalg.eigvals(_hamiltonian(ac, bc, cc, dc, gamma))
+    except np.linalg.LinAlgError as exc:  # non-finite entries, or no convergence
+        raise NumericalError(f"the Hamiltonian at level {gamma:.6g}: {exc}") from None
     axis = eig[np.abs(eig.real) <= 1e-8 * np.maximum(1.0, np.abs(eig))]
     return np.unique(2.0 * np.arctan(np.abs(axis.imag)))
 
@@ -324,8 +381,8 @@ def hinf_norm(sys: StateSpace) -> float:
     if sys.n_inputs == 0 or sys.n_outputs == 0:
         return 0.0
     if sys.n_states == 0:
-        return float(np.linalg.svd(sys.d, compute_uv=False)[0])
-    poles = _require_stable(sys.a)
+        return float(_peak_gain(sys.d))
+    poles = _require_stable(sys)
     markov = np.abs(markov_parameters(sys, sys.n_states + 1)).max()
     if markov == 0.0:
         return 0.0
@@ -351,8 +408,9 @@ def _psd_factor(w):
 
 
 def _gramian_factors(sys: StateSpace):
-    wc = solve_discrete_lyapunov(sys.a, sys.b @ sys.b.T)
-    wo = solve_discrete_lyapunov(sys.a.T, sys.c.T @ sys.c)
+    # for a stable A only: the caller checks it once
+    wc = _lyapunov(sys.a, sys.b @ sys.b.T)
+    wo = _lyapunov(sys.a.T, sys.c.T @ sys.c)
     return _psd_factor(wc), _psd_factor(wo)
 
 
@@ -360,6 +418,7 @@ def hankel_singular_values(sys: StateSpace) -> np.ndarray:
     """Hankel singular values of a stable system, descending."""
     if sys.n_states == 0:
         return np.zeros(0)
+    _require_stable(sys)
     lc, lo = _gramian_factors(sys)
     return np.linalg.svd(lo.T @ lc, compute_uv=False)
 
@@ -378,7 +437,7 @@ def balanced_truncate(sys: StateSpace, budget: float):
     n = sys.n_states
     if n == 0:
         return StateSpace(sys.a, sys.b, sys.c, sys.d), 0.0
-    _require_stable(sys.a)
+    _require_stable(sys)
     lc, lo = _gramian_factors(sys)
     u, sv, vt = np.linalg.svd(lo.T @ lc)
     # tail[r] = certified error when keeping r states

@@ -33,10 +33,10 @@ from .errors import (
 from .linalg import (
     StateSpace,
     _as_matrix,
+    _lyapunov,
     _require_stable,
     kalman_gain,
     markov_parameters,
-    solve_discrete_lyapunov,
     solve_discrete_riccati,
     spectral_radius,
 )
@@ -278,7 +278,8 @@ def autocovariance(cl: ClosedLoop, max_lag: int) -> np.ndarray:
 def _output_covariance(j: StateSpace) -> tuple[np.ndarray, np.ndarray]:
     """Stationary state covariance P of ``j`` under unit white noise, and
     its output covariance r[0] = C P C^T + D D^T."""
-    p_state = solve_discrete_lyapunov(j.a, j.b @ j.b.T)
+    _require_stable(j)
+    p_state = _lyapunov(j.a, j.b @ j.b.T)
     return p_state, j.c @ p_state @ j.c.T + j.d @ j.d.T
 
 

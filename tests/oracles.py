@@ -127,6 +127,22 @@ def refined_peak(ss, n_points=65_536, starts=8, rounds=6):
     return best
 
 
+def hamiltonian_block(ac, bc, cc, dc, gamma):
+    """Hamiltonian of a continuous-time system at level gamma, assembled
+    block by block with two solves against R = gamma^2 I - D^T D:
+    [[A + B R^-1 D^T C, B R^-1 B^T], [-C^T (I + D R^-1 D^T) C, -(A + B R^-1 D^T C)^T]]."""
+    r = gamma * gamma * np.eye(dc.shape[1]) - dc.T @ dc
+    r_inv_dt = np.linalg.solve(r, dc.T)
+    r_inv_bt = np.linalg.solve(r, bc.T)
+    a_loop = ac + bc @ r_inv_dt @ cc
+    return np.block(
+        [
+            [a_loop, bc @ r_inv_bt],
+            [-cc.T @ (np.eye(dc.shape[0]) + dc @ r_inv_dt) @ cc, -a_loop.T],
+        ]
+    )
+
+
 def impulse_blocks(ss, count):
     """Markov parameters of a state-space system by running the recursion.
 

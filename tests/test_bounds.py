@@ -481,6 +481,16 @@ class TestExpectedErrorBound:
         expected_gap = gain**2 * mild_inputs.z_power**2 - gain * mild_inputs.z_power
         assert squared == pytest.approx(base + expected_gap, rel=1e-12)
 
+    def test_refuses_a_ledger_built_for_other_inputs(self, unit_inputs, mild_inputs):
+        led = select_ledger(mild_inputs, 2.0**15)
+        with pytest.raises(ValueError, match="ledger was built for other inputs"):
+            expected_error_bound(unit_inputs, led, led.t0)
+        # an equal copy of the ledger's own inputs is the same loop
+        copy = dataclasses.replace(mild_inputs)
+        assert expected_error_bound(copy, led, led.t0) == expected_error_bound(
+            mild_inputs, led, led.t0
+        )
+
 
 class TestModelErrorBound:
     def test_branch_flags(self, mild_inputs):
@@ -545,6 +555,22 @@ class TestBoundInputs:
         assert 0.0 < mild_inputs.rho < 1.0
         assert mild_inputs.p == 2 and mild_inputs.n_u == 1 and mild_inputs.n_y == 1
 
+    def test_each_pole_set_computed_once(self, dynamic_loop, monkeypatch):
+        # the predictor's A - KC (stability check, envelope scan, certified
+        # radii) and the loop's A (Lyapunov solve, noise-map norm)
+        predictor = steady_state_predictor(dynamic_loop.plant).a
+        seen = []
+        eigvals = np.linalg.eigvals
+
+        def counting(a):
+            seen.append(np.array(a))
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        bound_inputs(dynamic_loop, p=4, alpha=1.0, phi=0.05)
+        for a in (predictor, dynamic_loop.a):
+            assert sum(m.shape == a.shape and np.array_equal(m, a) for m in seen) == 1
+
     def test_validation(self):
         with pytest.raises(ValueError):
             BoundInputs(1.0, 1.5, 1.0, 1.0, 1.0, 1.0, 1, 1, 1, 1.0, 0.05)
@@ -564,6 +590,17 @@ class TestBoundInputs:
         args[index] = math.nan
         with pytest.raises(ValueError):
             BoundInputs(*args)
+
+    @pytest.mark.parametrize("field", ["level", "z_power", "e_power_sq", "j_norm", "xi", "alpha"])
+    def test_rejects_infinite(self, unit_inputs, field):
+        # an infinite j_norm would give a ledger with k = inf labelled target met
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            dataclasses.replace(unit_inputs, **{field: math.inf})
+
+    def test_accepts_an_infinite_budget(self, unit_inputs):
+        # phi = inf is a reduction budget that keeps no state, as the
+        # experiment configuration allows
+        assert dataclasses.replace(unit_inputs, phi=math.inf).phi == math.inf
 
 
 class TestFormatLedger:

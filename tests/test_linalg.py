@@ -29,6 +29,7 @@ from redar import (
 
 from .oracles import (
     grid_gain,
+    hamiltonian_block,
     impulse_blocks,
     lyapunov_series,
     refined_peak,
@@ -219,6 +220,66 @@ class TestMarkovParameters:
             markov_parameters(StateSpace([[0.5]], [[1.0]], [[1.0]], [[0.0]]), 0)
 
 
+class TestPeakGain:
+    """The largest singular value from the smaller Gram matrix."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seeds,
+        st.sampled_from([(1, 1), (1, 5), (5, 1), (2, 4), (4, 2), (4, 4)]),
+        st.integers(0, 5),
+        st.integers(-150, 150),
+        st.booleans(),
+    )
+    def test_matches_the_svd(self, seed, shape, count, exponent, complex_entries):
+        # each matrix at its own scale between 1e-150 and 1e150 (times
+        # 10^exponent), the first of the stack all zero
+        rng = rng_from(seed)
+        h = rng.standard_normal((count, *shape))
+        if complex_entries:
+            h = h + 1j * rng.standard_normal((count, *shape))
+        h *= 10.0 ** np.clip(exponent + rng.integers(-20, 21, (count, 1, 1)), -150, 150)
+        h[:1] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = redar.linalg._peak_gain(h)
+            want = np.linalg.svd(h, compute_uv=False)[..., 0]
+        assert got.shape == (count,)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    def test_single_matrix_and_empty_sides(self):
+        assert float(redar.linalg._peak_gain([[3.0, 4.0]])) == 5.0
+        assert redar.linalg._peak_gain(np.zeros((3, 0, 2))).tolist() == [0.0, 0.0, 0.0]
+
+
+class TestHamiltonian:
+    """The one-solve Hamiltonian against the two-solve block assembly."""
+
+    @staticmethod
+    def assert_same_spectrum(system, gamma):
+        cont = redar.linalg._bilinear_to_continuous(system)
+        got = np.linalg.eigvals(redar.linalg._hamiltonian(*cont, gamma))
+        want = np.linalg.eigvals(hamiltonian_block(*cont, gamma))
+        # each eigenvalue has a partner in the other set, relative to the spectrum
+        gaps = np.abs(got[:, None] - want[None, :])
+        scale = np.abs(want).max()
+        assert max(gaps.min(axis=0).max(), gaps.min(axis=1).max()) <= 1e-12 * scale
+        return got
+
+    @settings(max_examples=60, deadline=None)
+    @given(seeds, st.integers(1, 6), st.integers(1, 3), st.integers(1, 3), st.floats(1.1, 4.0))
+    def test_same_eigenvalues_above_the_peak(self, seed, n, m, p, ratio):
+        system = random_system(rng_from(seed), n, m, p, target=0.8, with_d=True)
+        self.assert_same_spectrum(system, ratio * hinf_norm(system))
+
+    def test_same_crossings_below_the_peak(self):
+        # 1/(z - 0.5) + 0.3 runs from 2.3 at z = 1 down to 0.3 - 2/3 at
+        # z = -1, so level 1.5 is crossed once, at a simple eigenvalue pair
+        system = StateSpace([[0.5]], [[1.0]], [[1.0]], [[0.3]])
+        eig = self.assert_same_spectrum(system, 1.5)
+        assert np.all(np.abs(eig.real) <= 1e-12 * np.abs(eig))
+
+
 class TestGains:
     def test_hinf_scalar_pole(self, monkeypatch):
         monkeypatch.setattr(redar.linalg, "_HINF_TOL", 1e-7)
@@ -308,20 +369,30 @@ class TestGains:
 
     @pytest.mark.parametrize("which", ["noise_map", "one_minus_z8"])
     def test_hinf_evaluates_few_points(self, which, dynamic_loop, monkeypatch):
-        # a dense grid must not come back: count every evaluated point
+        # a dense grid must not come back: count every evaluated point; and
+        # count Hamiltonian eigensolves, capped at what the iteration takes
+        # with the block-assembled Hamiltonian (oracles.hamiltonian_block),
+        # so that the iteration count cannot grow silently
         if which == "noise_map":
-            sys = noise_to_signal(dynamic_loop)
+            sys, solves = noise_to_signal(dynamic_loop), 1
         else:
-            sys = StateSpace(np.eye(8, k=-1), np.eye(8, 1), -np.eye(1, 8, 7), [[1.0]])
-        points = []
+            sys, solves = StateSpace(np.eye(8, k=-1), np.eye(8, 1), -np.eye(1, 8, 7), [[1.0]]), 2
+        points, hamiltonians = [], []
+        hamiltonian = redar.linalg._hamiltonian
 
         def counting(system, zs):
             points.append(np.size(zs))
             return frequency_response(system, zs)
 
+        def counting_hamiltonian(*args):
+            hamiltonians.append(args[-1])
+            return hamiltonian(*args)
+
         monkeypatch.setattr(redar.linalg, "frequency_response", counting)
+        monkeypatch.setattr(redar.linalg, "_hamiltonian", counting_hamiltonian)
         hinf_norm(sys)
         assert 0 < sum(points) <= 64
+        assert 0 < len(hamiltonians) <= solves
 
 
 class TestHankel:
@@ -330,6 +401,24 @@ class TestHankel:
         # 1/(1 - 0.25), so the single Hankel value is 4/3
         sys = StateSpace([[0.5]], [[1.0]], [[1.0]], [[0.0]])
         assert hankel_singular_values(sys)[0] == pytest.approx(4.0 / 3.0, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "reduce", [hankel_singular_values, lambda s: balanced_truncate(s, 0.1)], ids=["hsv", "bt"]
+    )
+    def test_one_stability_check(self, reduce, monkeypatch):
+        checked = []
+        require_stable = redar.linalg._require_stable
+
+        def counting(a, *args):
+            checked.append(a)
+            return require_stable(a, *args)
+
+        monkeypatch.setattr(redar.linalg, "_require_stable", counting)
+        reduce(random_system(rng_from(6), 5, 2, 2))
+        assert len(checked) == 1
+        unstable = StateSpace([[1.0, 0.0], [0.0, 0.5]], [[1.0], [1.0]], [[1.0, 1.0]], [[0.0]])
+        with pytest.raises(NotStable):
+            reduce(unstable)
 
     @given(seeds, st.integers(1, 5))
     def test_descending_nonnegative(self, seed, n):

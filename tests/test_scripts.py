@@ -84,6 +84,25 @@ class TestOutputContractCompare:
         assert code == 0
         assert "1 numbers differ within it (largest relative gap 1e-12)" in out
 
+    def test_drift_within_the_tolerance_is_summarised_per_file(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        report = self.REPORT.replace("0.125", repr(0.125 * (1 + 1e-12)))
+        report = report.replace("0.0625", repr(0.0625 * (1 - 3e-12)))
+        fit = "reduced order 5, test mse 0.1235\n"
+        a, b = self.dirs(tmp_path, {"experiment/report.csv": report, "01-fit.stdout": fit})
+        code, out = self.run(a, b, capsys, monkeypatch, "--rtol", "1e-9")
+        assert code == 1
+        # one line for the file that moved within the tolerance, none for
+        # the file with a number beyond it
+        lines = [line for line in out.splitlines() if "moved within" in line]
+        assert lines == [
+            "experiment/report.csv: 2 numbers moved within rtol 1e-09, "
+            "largest relative gap 3e-12 at line 3, column hinf_actual"
+        ]
+        assert "01-fit.stdout: line 1, number 2" in out
+        assert "2 numbers differ within it (largest relative gap 3e-12)" in out
+
     def test_number_in_text_beyond_the_tolerance(self, tmp_path, capsys, monkeypatch):
         a, b = self.dirs(tmp_path, {"01-fit.stdout": "reduced order 5, test mse 0.1235\n"})
         code, out = self.run(a, b, capsys, monkeypatch, "--rtol", "1e-9")
