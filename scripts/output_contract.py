@@ -4,11 +4,11 @@
     python scripts/output_contract.py --compare DIR_A DIR_B [--rtol R]
 
 Runs a fixed list of ``redar`` commands (generate, experiment, bound and
-fit, on seeds 0 and 3, one bound at a target its ledger meets and one
-fit at lag order 16) against the ``src`` tree of the checkout this
-script sits in, one after another, with OUT_DIR as the working
-directory, so every file a command writes lands in OUT_DIR.  Command
-``NN-name`` also leaves ``NN-name.cmd`` (its arguments),
+fit, on seeds 0 and 3, one bound at a target its ledger meets, one fit
+at lag order 16 and one generate that fails) against the ``src`` tree
+of the checkout this script sits in, one after another, with OUT_DIR as
+the working directory, so every file a command writes lands in OUT_DIR.
+Command ``NN-name`` also leaves ``NN-name.cmd`` (its arguments),
 ``NN-name.stdout``, ``NN-name.exit`` (its exit code) and
 ``NN-name.stderr``, in which the path of that ``src`` tree reads
 ``<src>``.
@@ -65,6 +65,9 @@ def commands() -> list[tuple[str, list[str]]]:
                          "--out", "fit_loop_p6.txt"]),
         ("fit-data-p16", ["fit", "--data", "loops/loop_data_seed0.csv", "--p", "16",
                           "--phi", "0.01", "--out", "fit_data_p16.txt"]),
+        # no loop clears the noise floor: exit 3 and one stderr line
+        ("generate-fail", ["generate", "--seeds", "1", "--noise-floor", "1e100",
+                           "--out-dir", "loops-fail"]),
     ]
 
 

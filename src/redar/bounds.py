@@ -13,7 +13,7 @@ Two bounds are evaluated from system-level quantities only:
   from a ledger of explicit constants (``build_ledger``), each the peak
   of a function a T^m exp(-b T^n) evaluated at T0.
 
-* ``model_error_bound``: a high-probability bound on the H-infinity
+* ``model_error_detail``: a high-probability bound on the H-infinity
   distance between the reduced predictor and the population-optimal
   lag-p predictor, driven by an elementwise moment concentration radius
   delta(theta, T).
@@ -34,7 +34,7 @@ import numpy as np
 from .errors import InvalidT0, NumericalError, RhoTooSmall, TBelowT0
 from .kalman import steady_state_predictor
 from .linalg import StateSpace, _peak_gain, _start_angles, frequency_response, hinf_norm
-from .systems import ClosedLoop, _signal_powers, noise_to_signal
+from .systems import ClosedLoop, _output_covariance, noise_to_signal
 
 __all__ = [
     "BoundInputs",
@@ -50,7 +50,6 @@ __all__ = [
     "build_ledger",
     "select_ledger",
     "expected_error_bound",
-    "model_error_bound",
     "model_error_detail",
     "BoundCells",
     "bound_cells",
@@ -490,11 +489,6 @@ def model_error_detail(inputs: BoundInputs, theta: float, t: float) -> ModelErro
     return ModelErrorDetail(float(value), delta, small, at_boundary)
 
 
-def model_error_bound(inputs: BoundInputs, theta: float, t: float) -> float:
-    """Value of the high-probability H-infinity model-error bound."""
-    return model_error_detail(inputs, theta, t).value
-
-
 @dataclass(frozen=True)
 class BoundCells:
     """Both bounds at one sample size T for one ledger.
@@ -543,13 +537,13 @@ def bound_inputs(
     """
     rho, level = optimize_envelope(steady_state_predictor(cl.plant), p, n_rho=n_rho)
     j = noise_to_signal(cl)
-    z_power_sq, e_power_sq = _signal_powers(cl, j)
+    z_power_sq = float(np.trace(_output_covariance(j)[1]))
     j_norm = hinf_norm(j)
     return BoundInputs(
         level=level,
         rho=rho,
         z_power=math.sqrt(z_power_sq),
-        e_power_sq=e_power_sq,
+        e_power_sq=float(np.trace(cl.plant.psi)),
         j_norm=j_norm,
         xi=cl.xi,
         p=p,

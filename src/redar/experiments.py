@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import (
-    BoundInputs,
     ConstantLedger,
     bound_cells,
     bound_inputs,
@@ -182,16 +181,14 @@ REPORT_COLUMNS = tuple(f.name for f in fields(ReportRow))
 
 @dataclass(frozen=True)
 class SeedOutcome:
-    """Per-seed artifacts: the sampled loop, its bound data and the rows.
+    """Per-seed artifacts: the seed's constant ledger and its report rows.
 
     A seed whose set-up failed keeps only ``error`` and one error row per
-    sample size; its bound data are None.
+    sample size; its ledger is None.
     """
 
     seed: int
-    inputs: BoundInputs | None
     ledger: ConstantLedger | None
-    mse_oracle: float | None
     rows: tuple[ReportRow, ...]
     error: Exception | None = None
 
@@ -284,9 +281,7 @@ def run_seed(config: ExperimentConfig, seed: int, log=None) -> SeedOutcome:
             row = _error_row(seed, t, exc)
         say(f"seed {seed} t {t}: {row.status}")
         rows.append(row)
-    return SeedOutcome(
-        seed=seed, inputs=inputs, ledger=ledger, mse_oracle=mse_oracle, rows=tuple(rows)
-    )
+    return SeedOutcome(seed=seed, ledger=ledger, rows=tuple(rows))
 
 
 def find_violations(rows) -> tuple[ReportRow, ...]:
@@ -305,7 +300,7 @@ def _run_seed_or_fail(config: ExperimentConfig, seed: int, log) -> SeedOutcome:
         if log is not None:
             log(f"seed {seed}: error: {exc}")
         rows = tuple(_error_row(seed, t, exc) for t in config.t_sweep)
-        return SeedOutcome(seed, None, None, None, rows, error=exc)
+        return SeedOutcome(seed, None, rows, error=exc)
 
 
 def run_experiment(config: ExperimentConfig, log=None) -> ExperimentResult:

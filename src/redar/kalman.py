@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PredictorUnstable
-from .linalg import StateSpace, _require_stable, markov_parameters
+from .linalg import StateSpace, _require_stable
 from .realization import PredictorRealization, _innovation_predictor, predictor_from_coefficients
 from .systems import ClosedLoop, InnovationModel, autocovariance
 from .varx import solve_normal_equations
@@ -37,7 +37,6 @@ __all__ = [
     "exact_moments",
     "finite_horizon_predictor",
     "steady_state_predictor",
-    "predictor_markov_blocks",
 ]
 
 
@@ -115,10 +114,3 @@ def steady_state_predictor(plant: InnovationModel) -> StateSpace:
     predictor = _innovation_predictor(plant)
     _require_stable(predictor, PredictorUnstable, "rho(A - KC) = {:.9g}, needs < 1")
     return predictor
-
-
-def predictor_markov_blocks(plant: InnovationModel, count: int) -> np.ndarray:
-    """Markov parameters H[i] = C (A - KC)^{i-1} [B K] for i = 1..count."""
-    if count < 1:
-        raise ValueError(f"count must be positive, got {count}")
-    return markov_parameters(steady_state_predictor(plant), count + 1)[1:]

@@ -21,7 +21,6 @@ from .errors import DimensionMismatch, NotStabilizable, NotStable, NumericalErro
 __all__ = [
     "StateSpace",
     "spectral_radius",
-    "solve_discrete_lyapunov",
     "solve_discrete_riccati",
     "kalman_gain",
     "frequency_response",
@@ -127,33 +126,11 @@ def _require_stable(a, error=NotStable, message="A has spectral radius {:.12g}, 
     return poles
 
 
-def solve_discrete_lyapunov(a, w) -> np.ndarray:
-    """Solve P = A P A^T + W for stable A.
-
-    Parameters
-    ----------
-    a : (n, n) array_like, spectral radius < 1.
-    w : (n, n) array_like, symmetric.
-
-    Returns
-    -------
-    P : (n, n) ndarray, symmetric, with residual
-        ``||P - A P A^T - W||_F <= 1e-10 * (1 + ||W||_F)``.
-    """
-    a = np.asarray(a, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if a.shape != w.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"incompatible shapes {a.shape} and {w.shape}")
-    n = a.shape[0]
-    if n == 0:
-        return np.zeros((0, 0))
-    _require_stable(a)
-    return _lyapunov(a, w)
-
-
 def _lyapunov(a, w) -> np.ndarray:
-    # solve_discrete_lyapunov for an A already checked stable: the solve
-    # and up to three residual refinements.
+    # P = A P A^T + W for an A already checked stable (_require_stable,
+    # once, by the caller): the solve and up to three residual
+    # refinements.  P is symmetric, with ||P - A P A^T - W||_F at most
+    # 1e-10 (1 + ||W||_F); NumericalError if refinement cannot reach it.
     w = 0.5 * (w + w.T)
     p = scipy.linalg.solve_discrete_lyapunov(a, w)
     p = 0.5 * (p + p.T)

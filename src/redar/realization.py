@@ -39,8 +39,6 @@ __all__ = [
     "FitResult",
     "predictor_from_coefficients",
     "observer_form",
-    "varx_to_predictor",
-    "reduce_predictor",
     "extract_innovation_form",
     "fit_redar",
     "run_predictor",
@@ -155,22 +153,6 @@ def observer_form(h_full: PredictorRealization) -> StateSpace:
     return StateSpace(np.eye(n, k=n_y), b, np.eye(n_y, n), h_full.ss.d)
 
 
-def varx_to_predictor(model: VarxModel, n_u: int, n_y: int) -> PredictorRealization:
-    """Delay-line realization of a fitted VARX model."""
-    return predictor_from_coefficients(model.g, model.p, n_u, n_y)
-
-
-def reduce_predictor(h_full: PredictorRealization, phi: float) -> tuple[PredictorRealization, float]:
-    """Balanced-truncate a predictor to H-infinity budget ``phi``.
-
-    Returns (reduced, certified_error) with certified_error <= phi and
-    the zero feedthrough preserved.
-    """
-    reduced_ss, certified = balanced_truncate(h_full.ss, phi)
-    reduced = PredictorRealization(reduced_ss, kind="reduced")
-    return reduced, certified
-
-
 def extract_innovation_form(h_reduced: PredictorRealization) -> IdentifiedModel:
     """Read an innovation-form model off a reduced predictor.
 
@@ -205,8 +187,9 @@ def fit_redar(ds: Dataset, alpha: float, phi: float) -> FitResult:
     """Full pipeline: ridge VARX fit, delay-line realization, balanced
     reduction to budget ``phi``, innovation-form extraction."""
     varx = fit_varx(ds, alpha)
-    full = varx_to_predictor(varx, ds.n_u, ds.n_y)
-    reduced, certified = reduce_predictor(full, phi)
+    full = predictor_from_coefficients(varx.g, varx.p, ds.n_u, ds.n_y)
+    reduced_ss, certified = balanced_truncate(full.ss, phi)
+    reduced = PredictorRealization(reduced_ss, kind="reduced")
     model = extract_innovation_form(reduced)
     return FitResult(varx=varx, full=full, reduced=reduced, certified_error=certified, model=model)
 

@@ -50,7 +50,6 @@ __all__ = [
     "assemble_closed_loop",
     "noise_to_signal",
     "autocovariance",
-    "signal_powers",
     "simulate",
     "simulate_many",
     "random_innovation_model",
@@ -148,6 +147,17 @@ class ClosedLoop:
     c_z: np.ndarray = field(repr=False)
     d_e: np.ndarray = field(repr=False)
     d_v: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        a = _as_matrix(self.a, name="A", square=True)
+        n, n_z, n_y, n_v = a.shape[0], self.n_z, self.n_y, self.controller.n_v
+        b_e = _as_matrix(self.b_e, n, n_y, "B_e")
+        b_v = _as_matrix(self.b_v, n, n_v, "B_v")
+        c_z = _as_matrix(self.c_z, n_z, n, "C_z")
+        d_e = _as_matrix(self.d_e, n_z, n_y, "D_e")
+        d_v = _as_matrix(self.d_v, n_z, n_v, "D_v")
+        for name, m in dict(a=a, b_e=b_e, b_v=b_v, c_z=c_z, d_e=d_e, d_v=d_v).items():
+            object.__setattr__(self, name, m)
 
     @property
     def n_u(self) -> int:
@@ -281,17 +291,6 @@ def _output_covariance(j: StateSpace) -> tuple[np.ndarray, np.ndarray]:
     _require_stable(j)
     p_state = _lyapunov(j.a, j.b @ j.b.T)
     return p_state, j.c @ p_state @ j.c.T + j.d @ j.d.T
-
-
-def signal_powers(cl: ClosedLoop) -> tuple[float, float]:
-    """Stationary mean-square powers (E||z||^2, E||e||^2)."""
-    return _signal_powers(cl, noise_to_signal(cl))
-
-
-def _signal_powers(cl: ClosedLoop, j: StateSpace) -> tuple[float, float]:
-    """``signal_powers`` from the loop's noise-to-signal map ``j``."""
-    r0 = _output_covariance(j)[1]
-    return float(np.trace(r0)), float(np.trace(cl.plant.psi))
 
 
 def default_burn_in(cl: ClosedLoop) -> int:
@@ -475,7 +474,7 @@ def random_innovation_model(
 def random_closed_loop(
     dims: Dims,
     spectral_target: float,
-    seed: int,
+    seed: int | np.random.SeedSequence,
     noise_floor: float = 0.05,
 ) -> ClosedLoop:
     """Sample a stable stochastic loop: random plant plus LQG controller.
@@ -513,4 +512,6 @@ def random_closed_loop(
         if cl.xi <= noise_floor:
             continue
         return cl
+    if isinstance(seed, np.random.SeedSequence):
+        seed = f"entropy {seed.entropy}, spawn key {seed.spawn_key}"
     raise GenerationFailed(f"no admissible system after 100 attempts (seed {seed})")

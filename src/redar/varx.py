@@ -29,7 +29,6 @@ __all__ = [
     "empirical_moments",
     "solve_normal_equations",
     "fit_varx",
-    "fit_from_moments",
     "predict_varx",
 ]
 
@@ -213,17 +212,6 @@ def fit_varx(ds: Dataset, alpha: float) -> VarxModel:
     q_t, n_t = empirical_moments(d, y)
     g = solve_normal_equations(q_t, n_t, alpha / ds.t_count)
     return VarxModel(g, ds.p, alpha)
-
-
-def fit_from_moments(q: np.ndarray, n: np.ndarray, p: int, alpha: float, t: float) -> VarxModel:
-    """Fit from externally supplied moments; exact moments give the
-    population-optimal coefficients as alpha / t -> 0."""
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
-    g = solve_normal_equations(np.asarray(q, float), np.asarray(n, float), alpha / t)
-    return VarxModel(g, p, alpha)
 
 
 def predict_varx(model: VarxModel, ds: Dataset) -> tuple[np.ndarray, float]:

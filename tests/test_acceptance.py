@@ -20,25 +20,24 @@ from redar import (
     bound_inputs,
     exact_moments,
     finite_horizon_predictor,
-    fit_from_moments,
     fit_redar,
     fit_varx,
     frequency_response,
     hinf_norm,
-    model_error_bound,
+    markov_parameters,
+    model_error_detail,
     noise_to_signal,
     optimize_envelope,
     parallel_difference,
-    predictor_markov_blocks,
+    predictor_from_coefficients,
     random_closed_loop,
     run_seed,
     select_ledger,
     simulate,
-    solve_discrete_lyapunov,
     solve_discrete_riccati,
+    solve_normal_equations,
     steady_state_predictor,
     tail_bound,
-    varx_to_predictor,
 )
 from redar.experiments import find_violations
 from redar.systems import random_innovation_model
@@ -95,7 +94,7 @@ def test_02_vanishing_ridge_matches_population_optimum(acceptance_report):
         dims = Dims(2 + seed % 3, 1 + seed % 2, 1 + (seed // 2) % 2)
         cl = random_closed_loop(dims, 0.7, seed=np.random.SeedSequence([seed, 0]))
         moments = exact_moments(cl, p)
-        g_limit = fit_from_moments(moments.q, moments.n, p, alpha=1.0, t=math.inf).g
+        g_limit = solve_normal_equations(moments.q, moments.n, 1.0 / math.inf)
         g_opt, _ = finite_horizon_predictor(cl, p)
         worst = max(worst, float(np.linalg.norm(g_limit - g_opt)))
     ok = worst <= 1e-8
@@ -173,7 +172,7 @@ def test_05_decay_envelope_bounds_predictor_memory(acceptance_report):
         plant = random_innovation_model(dims, 0.7, rng)
         h_star = steady_state_predictor(plant)
         rho, level = optimize_envelope(h_star, p, n_rho=32)
-        blocks = predictor_markov_blocks(plant, 50)
+        blocks = markov_parameters(h_star, 51)[1:]
         for i in range(1, 51):
             if np.linalg.norm(blocks[i - 1], ord=2) > level * rho**i:
                 coeff_bad += 1
@@ -199,7 +198,7 @@ def test_06_model_error_bound_coverage(acceptance_report, siso_loop):
     # repeated fits on a fixed loop at T = 2^12
     p, alpha, phi, theta, t = 4, 1.0, 0.05, 0.1, 4096
     inputs = bound_inputs(siso_loop, p, alpha, phi, n_rho=16, envelope_grid=256, hinf_grid=512)
-    bound = model_error_bound(inputs, theta, float(t))
+    bound = model_error_detail(inputs, theta, float(t)).value
     _, h_opt = finite_horizon_predictor(siso_loop, p)
     hits = 0
     trials = 200
@@ -230,7 +229,8 @@ def test_07_analytic_kernels_and_moment_extremes(acceptance_report, monkeypatch)
     for _ in range(50):
         a = random_stable(rng, 4, 0.9)
         w = random_psd(rng, 4, floor=0.1)
-        x = solve_discrete_lyapunov(a, w)
+        redar.linalg._require_stable(a)
+        x = redar.linalg._lyapunov(a, w)
         resid = np.linalg.norm(a @ x @ a.T - x + w) / (1.0 + np.linalg.norm(w))
         lyap_worst = max(lyap_worst, float(resid))
     lyap_ok = lyap_worst <= 1e-10
@@ -289,7 +289,7 @@ def test_08_fit_realization_is_exact(acceptance_report):
         traj = simulate(cl, 512 + p, seed=np.random.SeedSequence([seed, 1]))
         ds = Dataset.from_signals(traj.u, traj.y, p=p)
         model = fit_varx(ds, alpha=1.0)
-        full = varx_to_predictor(model, ds.n_u, ds.n_y)
+        full = predictor_from_coefficients(model.g, model.p, ds.n_u, ds.n_y)
         blocks = impulse_blocks(full.ss, 2 * p)
         for lag in range(1, p + 1):
             if not np.array_equal(blocks[lag - 1], model.block(lag)):

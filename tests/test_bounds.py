@@ -15,6 +15,8 @@ from redar import (
     RhoTooSmall,
     StateSpace,
     TBelowT0,
+    autocovariance,
+    bound_cells,
     bound_inputs,
     build_ledger,
     element_deviation,
@@ -23,13 +25,11 @@ from redar import (
     frequency_response,
     gain_envelope,
     hard_floor,
-    model_error_bound,
     model_error_detail,
     moment_count,
     optimize_envelope,
     random_closed_loop,
     select_ledger,
-    signal_powers,
     spectral_radius,
     steady_state_predictor,
     tail_bound,
@@ -523,22 +523,24 @@ class TestModelErrorBound:
 
     def test_tightens_with_samples_and_loosens_with_confidence(self, mild_inputs):
         ts = np.geomspace(1e5, 1e8, 10)
-        values = [model_error_bound(mild_inputs, 0.1, float(t)) for t in ts]
+        values = [model_error_detail(mild_inputs, 0.1, float(t)).value for t in ts]
         assert all(b < a for a, b in zip(values, values[1:]))
-        assert model_error_bound(mild_inputs, 0.01, 1e6) > model_error_bound(
-            mild_inputs, 0.2, 1e6
+        assert (
+            model_error_detail(mild_inputs, 0.01, 1e6).value
+            > model_error_detail(mild_inputs, 0.2, 1e6).value
         )
 
     def test_value_matches_detail(self, mild_inputs):
         detail = model_error_detail(mild_inputs, 0.1, 4096.0)
-        assert model_error_bound(mild_inputs, 0.1, 4096.0) == detail.value
+        ledger = select_ledger(mild_inputs, 4096.0)
+        assert bound_cells(ledger, 0.1, 4096.0).model_error == detail
 
     def test_includes_reduction_budget(self, mild_inputs):
         import dataclasses
 
         bigger = dataclasses.replace(mild_inputs, phi=mild_inputs.phi + 1.0)
-        base = model_error_bound(mild_inputs, 0.1, 1e6)
-        assert model_error_bound(bigger, 0.1, 1e6) == pytest.approx(base + 1.0)
+        base = model_error_detail(mild_inputs, 0.1, 1e6).value
+        assert model_error_detail(bigger, 0.1, 1e6).value == pytest.approx(base + 1.0)
 
     def test_rejects_sample_size_below_memory(self, mild_inputs):
         with pytest.raises(ValueError):
@@ -549,11 +551,20 @@ class TestBoundInputs:
     def test_mild_loop_quantities(self, mild_loop, mild_inputs):
         assert mild_inputs.xi == 1.0
         assert mild_inputs.e_power_sq == pytest.approx(1.0)
-        z_power_sq, _ = signal_powers(mild_loop)
+        z_power_sq = np.trace(autocovariance(mild_loop, 0)[0])
         assert mild_inputs.z_power == pytest.approx(math.sqrt(z_power_sq))
         assert mild_inputs.j_norm >= 1.0
         assert 0.0 < mild_inputs.rho < 1.0
         assert mild_inputs.p == 2 and mild_inputs.n_u == 1 and mild_inputs.n_y == 1
+
+    @pytest.mark.parametrize("loop", ["mild_loop", "dynamic_loop", "static_loop"])
+    def test_signal_powers_are_the_stationary_traces(self, loop, request):
+        # z_power is sqrt(trace r[0]) bit for bit; its square can differ from
+        # trace r[0] in the last place, so the root is what is pinned
+        cl = request.getfixturevalue(loop)
+        inputs = bound_inputs(cl, p=2, alpha=1.0, phi=0.05, n_rho=8)
+        assert inputs.z_power == math.sqrt(np.trace(autocovariance(cl, 0)[0]))
+        assert inputs.e_power_sq == np.trace(cl.plant.psi)
 
     def test_each_pole_set_computed_once(self, dynamic_loop, monkeypatch):
         # the predictor's A - KC (stability check, envelope scan, certified

@@ -111,6 +111,16 @@ class TestGenerate:
         assert code == 3
         assert "generation failed" in capsys.readouterr().err
 
+    def test_generation_failure_is_one_stderr_line(self, tmp_path, capsys):
+        # the loop's seed is a SeedSequence, named by entropy and spawn key
+        code = run_cli("generate", "--seeds", "1", "--noise-floor", "1e100",
+                       "--out-dir", str(tmp_path))
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "redar: generation failed: no admissible system after 100 attempts "
+            "(seed entropy [1, 0], spawn key ())\n"
+        )
+
     def test_bad_seed_list(self, tmp_path):
         assert run_cli("generate", "--seeds", "x", "--out-dir", str(tmp_path)) == 4
         assert run_cli("generate", "--seeds", ",", "--out-dir", str(tmp_path)) == 4
@@ -456,6 +466,15 @@ class TestExperiment:
     def test_bad_flag_value(self):
         assert run_cli("experiment", "--quiet", "--p", "four") == 4
 
+    def test_failed_generation_is_one_stderr_line(self, tmp_path, capsys):
+        code = run_cli("experiment", *TINY_EXPERIMENT, "--noise-floor", "1e200",
+                       "--output-dir", str(tmp_path / "results"))
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "redar: 1 seed(s) failed, first: no admissible system after 100 attempts "
+            "(seed entropy [0, 0], spawn key ())\n"
+        )
+
     def test_violation_exit_code(self, tmp_path, monkeypatch, capsys):
         from redar import BoundInputs, build_ledger
         from redar.experiments import (
@@ -471,10 +490,7 @@ class TestExperiment:
             seed=0, t=64, mse_fit=3.0, expected_bound=2.0, bound_valid=True,
             ledger_ref="ledger_seed0.txt",
         )
-        outcome = SeedOutcome(
-            seed=0, inputs=inputs, ledger=build_ledger(inputs, 10.0),
-            mse_oracle=1.0, rows=(row,),
-        )
+        outcome = SeedOutcome(seed=0, ledger=build_ledger(inputs, 10.0), rows=(row,))
 
         def fake_run(config, log=None):
             return ExperimentResult(

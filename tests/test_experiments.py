@@ -128,7 +128,7 @@ class TestRunSeed:
         first = run_seed(TINY, 0)
         second = run_seed(TINY, 0)
         assert first.rows == second.rows
-        assert first.mse_oracle == second.mse_oracle
+        assert first.rows[0].mse_oracle == second.rows[0].mse_oracle
         assert first.ledger.k == second.ledger.k
 
     def test_sweep_change_keeps_system_and_test_data(self):
@@ -136,8 +136,8 @@ class TestRunSeed:
         # move the sampled loop or the shared test trajectory
         full = run_seed(TINY, 0)
         short = run_seed(dataclasses.replace(TINY, t_sweep=(128,)), 0)
-        assert short.inputs == full.inputs
-        assert short.mse_oracle == full.mse_oracle
+        assert short.ledger.inputs == full.ledger.inputs
+        assert short.rows[0].mse_oracle == full.rows[0].mse_oracle
         a, b = full.rows[1], short.rows[0]
         assert (a.t, a.mse_fit, a.hinf_actual, a.reduced_order) == (
             b.t,
@@ -155,7 +155,7 @@ class TestRunSeed:
         for got, want in zip(observer.rows, delay_line.rows, strict=True):
             assert got.status == want.status == "ok"
             assert got.hinf_actual == pytest.approx(want.hinf_actual, rel=1e-9, abs=0)
-        assert observer.mse_oracle == pytest.approx(delay_line.mse_oracle, rel=1e-12, abs=0)
+            assert got.mse_oracle == pytest.approx(want.mse_oracle, rel=1e-12, abs=0)
 
     def test_rows_cover_sweep_in_order(self):
         outcome = run_seed(TINY, 1)
@@ -274,7 +274,7 @@ class TestSweepStatistics:
 
     def test_errors_sit_above_innovation_floor(self, medium_result):
         for outcome in medium_result.outcomes:
-            floor = outcome.inputs.e_power_sq
-            assert outcome.mse_oracle >= 0.95 * floor
+            floor = outcome.ledger.inputs.e_power_sq
             for row in outcome.rows:
+                assert row.mse_oracle >= 0.95 * floor
                 assert row.mse_fit >= 0.9 * floor

@@ -16,15 +16,15 @@ from redar import (
     finite_horizon_predictor,
     fit_varx,
     hinf_norm,
+    markov_parameters,
     noise_to_signal,
     optimize_envelope,
     prediction_mse,
-    predictor_markov_blocks,
+    predictor_from_coefficients,
     random_closed_loop,
     run_predictor,
     simulate,
     steady_state_predictor,
-    varx_to_predictor,
 )
 
 from .oracles import autocovariance_monte_carlo, impulse_blocks
@@ -142,7 +142,7 @@ class TestFiniteHorizonPredictor:
         h_star = steady_state_predictor(dynamic_loop.plant)
         rho, level = optimize_envelope(h_star, p, n_rho=32)
         g_opt, _ = finite_horizon_predictor(dynamic_loop, p)
-        markov = predictor_markov_blocks(dynamic_loop.plant, p)
+        markov = markov_parameters(h_star, p + 1)[1:]
         n_z = dynamic_loop.n_z
         for i in range(1, p + 1):
             block = g_opt[:, (i - 1) * n_z : i * n_z]
@@ -152,7 +152,7 @@ class TestFiniteHorizonPredictor:
     def test_long_memory_recovers_steady_state(self, dynamic_loop):
         p = 30
         g_opt, _ = finite_horizon_predictor(dynamic_loop, p)
-        markov = predictor_markov_blocks(dynamic_loop.plant, p)
+        markov = markov_parameters(steady_state_predictor(dynamic_loop.plant), p + 1)[1:]
         n_z = dynamic_loop.n_z
         for i in range(1, p + 1):
             block = g_opt[:, (i - 1) * n_z : i * n_z]
@@ -168,7 +168,8 @@ class TestFiniteHorizonPredictor:
                 dynamic_loop, train_t + p, seed=np.random.SeedSequence([seed, 1])
             )
             ds = Dataset.from_signals(train.u, train.y, p=p)
-            h_fit = varx_to_predictor(fit_varx(ds, alpha=1.0), ds.n_u, ds.n_y)
+            g_fit = fit_varx(ds, alpha=1.0).g
+            h_fit = predictor_from_coefficients(g_fit, p, ds.n_u, ds.n_y)
             mse_fit = prediction_mse(test.y, run_predictor(h_fit.ss, test.z), discard=p)
             assert mse_oracle <= mse_fit
 
@@ -177,7 +178,7 @@ class TestSteadyStatePredictor:
     def test_zero_gain_plant(self):
         # K = 0: the predictor ignores y entirely
         plant = InnovationModel(a=[[0.5]], b=[[1.0]], c=[[1.0]], k=[[0.0]], psi=[[1.0]])
-        blocks = predictor_markov_blocks(plant, 6)
+        blocks = markov_parameters(steady_state_predictor(plant), 7)[1:]
         assert np.allclose(blocks[:, :, 1], 0.0, atol=1e-14)
         for i in range(6):
             assert blocks[i, 0, 0] == pytest.approx(0.5**i)
@@ -193,13 +194,9 @@ class TestSteadyStatePredictor:
             steady_state_predictor(plant)
 
     def test_markov_blocks_match_impulse_response(self, dynamic_loop):
-        blocks = predictor_markov_blocks(dynamic_loop.plant, 12)
         h = steady_state_predictor(dynamic_loop.plant)
+        blocks = markov_parameters(h, 13)[1:]
         assert np.allclose(blocks, impulse_blocks(h, 12), atol=1e-12)
-
-    def test_markov_count_guard(self, dynamic_loop):
-        with pytest.raises(ValueError):
-            predictor_markov_blocks(dynamic_loop.plant, 0)
 
     def test_mse_reaches_innovation_floor(self, dynamic_loop, long_dynamic_traj):
         h_star = steady_state_predictor(dynamic_loop.plant)

@@ -22,7 +22,6 @@ from redar import (
     markov_parameters,
     noise_to_signal,
     parallel_difference,
-    solve_discrete_lyapunov,
     solve_discrete_riccati,
     spectral_radius,
 )
@@ -84,12 +83,17 @@ class TestSpectralRadius:
 
 
 class TestLyapunov:
+    """The solve behind every Lyapunov caller.  Each caller checks
+    stability first, which TestHankel.test_one_stability_check and
+    test_systems' test_autocovariance_rejects_unstable_loop cover; A here
+    is stable."""
+
     @given(seeds, st.integers(1, 6), st.floats(0.1, 0.95))
     def test_residual_contract(self, seed, n, target):
         rng = rng_from(seed)
         a = random_stable(rng, n, target)
         w = random_psd(rng, n)
-        p = solve_discrete_lyapunov(a, w)
+        p = redar.linalg._lyapunov(a, w)
         resid = np.linalg.norm(p - a @ p @ a.T - w)
         assert resid <= 1e-10 * (1.0 + np.linalg.norm(w))
 
@@ -98,22 +102,15 @@ class TestLyapunov:
         rng = rng_from(seed)
         a = random_stable(rng, n, 0.8)
         w = random_psd(rng, n)
-        p = solve_discrete_lyapunov(a, w)
+        p = redar.linalg._lyapunov(a, w)
         expected = lyapunov_series(a, w)
         assert np.linalg.norm(p - expected) <= 1e-8 * (1.0 + np.linalg.norm(expected))
 
     @given(seeds, st.integers(1, 5))
     def test_psd_for_psd_forcing(self, seed, n):
         rng = rng_from(seed)
-        p = solve_discrete_lyapunov(random_stable(rng, n, 0.9), random_psd(rng, n))
+        p = redar.linalg._lyapunov(random_stable(rng, n, 0.9), random_psd(rng, n))
         assert np.linalg.eigvalsh(p).min() >= -1e-10
-
-    def test_rejects_unstable(self):
-        with pytest.raises(NotStable):
-            solve_discrete_lyapunov([[1.0]], [[1.0]])
-
-    def test_empty(self):
-        assert solve_discrete_lyapunov(np.zeros((0, 0)), np.zeros((0, 0))).shape == (0, 0)
 
 
 class TestRiccati:

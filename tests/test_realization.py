@@ -10,6 +10,7 @@ from redar import (
     PredictorRealization,
     StateSpace,
     VarxModel,
+    balanced_truncate,
     extract_innovation_form,
     fit_redar,
     markov_parameters,
@@ -17,10 +18,8 @@ from redar import (
     parallel_difference,
     predict_with_model,
     prediction_mse,
-    reduce_predictor,
     run_predictor,
     simulate,
-    varx_to_predictor,
 )
 from redar.realization import predictor_from_coefficients
 
@@ -34,6 +33,12 @@ def random_predictor(seed, p=3, n_u=1, n_y=2):
     rng = rng_from(seed)
     g = rng.standard_normal((n_y, p * (n_u + n_y)))
     return g, predictor_from_coefficients(g, p, n_u, n_y)
+
+
+def reduce(h, phi):
+    """fit_redar's reduction step (pinned by TestFitRedarStages)."""
+    reduced, certified = balanced_truncate(h.ss, phi)
+    return PredictorRealization(reduced, kind="reduced"), certified
 
 
 class TestDelayLine:
@@ -64,11 +69,11 @@ class TestDelayLine:
         with pytest.raises(DimensionMismatch):
             predictor_from_coefficients(np.ones((2, 5)), p=2, n_u=1, n_y=2)
 
-    def test_varx_to_predictor_consistency(self):
+    def test_delay_line_of_a_varx_model(self):
         model = VarxModel(g=np.ones((1, 4)), p=2, alpha=1.0)
         with pytest.raises(DimensionMismatch):
-            varx_to_predictor(model, n_u=2, n_y=1)
-        h = varx_to_predictor(model, n_u=1, n_y=1)
+            predictor_from_coefficients(model.g, model.p, n_u=2, n_y=1)
+        h = predictor_from_coefficients(model.g, model.p, n_u=1, n_y=1)
         assert h.kind == "full"
         assert h.order == 4
 
@@ -108,7 +113,7 @@ class TestObserverForm:
 
     def test_requires_a_delay_line(self):
         _, h = random_predictor(4)
-        reduced, _ = reduce_predictor(h, 0.1)
+        reduced, _ = reduce(h, 0.1)
         with pytest.raises(ValueError):
             observer_form(reduced)
 
@@ -117,15 +122,37 @@ class TestReduction:
     @given(seeds, st.floats(1e-6, 1.0))
     def test_certified_error_within_budget(self, seed, phi):
         _, h = random_predictor(seed)
-        reduced, certified = reduce_predictor(h, phi)
+        reduced, certified = reduce(h, phi)
         assert certified <= phi
         assert reduced.kind == "reduced"
         assert reduced.order <= h.order
 
     def test_huge_budget_gives_static_model(self):
         _, h = random_predictor(3)
-        reduced, _ = reduce_predictor(h, 1e9)
+        reduced, _ = reduce(h, 1e9)
         assert reduced.order == 0
+
+
+class TestFitRedarStages:
+    """fit_redar is the delay line of the ridge fit, then balanced
+    truncation of it, bit for bit."""
+
+    # orders pinned where they matter: full (3 states at p = 1) and none
+    @pytest.mark.parametrize(
+        "p, phi, order",
+        [(1, 0.05, None), (1, 0.0, 3), (4, 0.05, None), (4, 1e9, 0), (16, 0.01, None)],
+    )
+    def test_stages_equal_the_direct_calls(self, p, phi, order):
+        ds = Dataset(z=rng_from(p).standard_normal((600 + p, 3)), p=p, n_u=1, n_y=2)
+        fit = fit_redar(ds, 1.0, phi)
+        full = predictor_from_coefficients(fit.varx.g, p, ds.n_u, ds.n_y)
+        reduced, certified = balanced_truncate(full.ss, phi)
+        for got, want in ((fit.full.ss, full.ss), (fit.reduced.ss, reduced)):
+            for m in "abcd":
+                assert np.array_equal(getattr(got, m), getattr(want, m))
+        assert fit.certified_error == certified
+        assert (fit.full.kind, fit.reduced.kind) == ("full", "reduced")
+        assert order is None or fit.reduced.order == order
 
 
 class TestExtraction:
@@ -137,7 +164,7 @@ class TestExtraction:
     @given(seeds)
     def test_matrix_identities(self, seed):
         _, h = random_predictor(seed)
-        reduced, _ = reduce_predictor(h, 0.05)
+        reduced, _ = reduce(h, 0.05)
         model = extract_innovation_form(reduced)
         n_u = reduced.n_u
         assert np.array_equal(model.b, reduced.ss.b[:, :n_u])
@@ -148,14 +175,14 @@ class TestExtraction:
     @given(seeds)
     def test_round_trip_transfer_function(self, seed):
         _, h = random_predictor(seed)
-        reduced, _ = reduce_predictor(h, 0.05)
+        reduced, _ = reduce(h, 0.05)
         model = extract_innovation_form(reduced)
         err = grid_gain(parallel_difference(model.predictor(), reduced.ss), n_points=512)
         assert err <= 1e-9
 
     def test_order_zero_model(self):
         _, h = random_predictor(5)
-        reduced, _ = reduce_predictor(h, 1e9)
+        reduced, _ = reduce(h, 1e9)
         model = extract_innovation_form(reduced)
         assert model.order == 0
         yhat = predict_with_model(model, np.zeros((20, 1)), np.ones((20, 2)))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -15,10 +17,10 @@ from redar import (
     Unstable,
     assemble_closed_loop,
     autocovariance,
+    bound_inputs,
     noise_to_signal,
     random_closed_loop,
     random_innovation_model,
-    signal_powers,
     simulate,
     simulate_many,
     spectral_radius,
@@ -127,6 +129,30 @@ class TestContainers:
         }
         with pytest.raises(error):
             Controller(**{**matrices, **overrides})
+
+    def test_closed_loop_matrices_are_read_only(self):
+        cl = random_closed_loop(Dims(2, 1, 1), 0.7, seed=np.random.SeedSequence([5, 0]))
+        for name in ("a", "b_e", "b_v", "c_z", "d_e", "d_v"):
+            with pytest.raises(ValueError):
+                getattr(cl, name)[0, 0] += 1.0
+
+    @pytest.mark.parametrize(
+        "overrides, error",
+        [
+            ({"a": np.zeros((2, 3))}, DimensionMismatch),
+            ({"b_e": np.zeros((2, 2))}, DimensionMismatch),
+            ({"b_v": np.zeros((3, 1))}, DimensionMismatch),
+            ({"c_z": np.zeros((2, 3))}, DimensionMismatch),
+            ({"d_e": np.zeros((1, 1))}, DimensionMismatch),
+            ({"d_v": np.zeros((2, 2))}, DimensionMismatch),
+            ({"c_z": np.full((2, 2), np.nan)}, ValueError),
+        ],
+    )
+    def test_closed_loop_matrix_checks(self, mild_loop, overrides, error):
+        # 2 states (1 plant, 1 controller), n_z = 2 and n_y = n_v = 1
+        assert (mild_loop.n_states, mild_loop.n_z) == (2, 2)
+        with pytest.raises(error):
+            dataclasses.replace(mild_loop, **overrides)
 
     def test_dims_validation(self):
         with pytest.raises(ValueError):
@@ -287,15 +313,21 @@ class TestStationaryLaw:
         assert np.linalg.norm(sample - r0) <= 0.02 * np.linalg.norm(r0)
 
     def test_signal_powers(self, dynamic_loop, long_dynamic_traj):
-        z_power_sq, e_power_sq = signal_powers(dynamic_loop)
-        assert e_power_sq == pytest.approx(np.trace(dynamic_loop.plant.psi))
+        inputs = bound_inputs(dynamic_loop, p=2, alpha=1.0, phi=0.05, n_rho=8)
+        assert inputs.e_power_sq == pytest.approx(np.trace(dynamic_loop.plant.psi))
         empirical = float(np.mean(np.sum(long_dynamic_traj.z**2, axis=1)))
-        assert z_power_sq == pytest.approx(empirical, rel=0.02)
+        assert inputs.z_power**2 == pytest.approx(empirical, rel=0.02)
 
     def test_static_loop_powers(self, static_loop):
-        z_power_sq, e_power_sq = signal_powers(static_loop)
-        assert z_power_sq == pytest.approx(2.0)
-        assert e_power_sq == pytest.approx(1.0)
+        inputs = bound_inputs(static_loop, p=2, alpha=1.0, phi=0.05, n_rho=8)
+        assert inputs.z_power**2 == pytest.approx(2.0)
+        assert inputs.e_power_sq == pytest.approx(1.0)
+
+    def test_autocovariance_rejects_unstable_loop(self, mild_loop):
+        # the stability check before the stationary Lyapunov solve
+        unstable = dataclasses.replace(mild_loop, a=np.eye(mild_loop.n_states))
+        with pytest.raises(NotStable):
+            autocovariance(unstable, 0)
 
 
 class TestGenerators:
@@ -327,8 +359,16 @@ class TestGenerators:
         assert np.array_equal(a.plant.k, b.plant.k)
 
     def test_unreachable_noise_floor_fails(self):
-        with pytest.raises(GenerationFailed):
+        with pytest.raises(GenerationFailed, match=r"\(seed 0\)$"):
             random_closed_loop(Dims(1, 1, 1), 0.5, seed=0, noise_floor=1e9)
+
+    def test_failure_names_a_seed_sequence_on_one_line(self):
+        seed = np.random.SeedSequence([1, 0], spawn_key=(2,))
+        with pytest.raises(GenerationFailed) as failed:
+            random_closed_loop(Dims(1, 1, 1), 0.5, seed=seed, noise_floor=1e9)
+        assert str(failed.value) == (
+            "no admissible system after 100 attempts (seed entropy [1, 0], spawn key (2,))"
+        )
 
 
 class TestStabilityMargin:

@@ -14,9 +14,9 @@ from redar import (
     VarxModel,
     build_regressors,
     empirical_moments,
-    fit_from_moments,
     fit_varx,
     predict_varx,
+    solve_normal_equations,
 )
 
 from .oracles import build_regressors_per_lag, empirical_moments_direct
@@ -107,8 +107,8 @@ class TestRegressors:
         assert np.array_equal(y, y_loop)
         # the fit from the oracle's D must match to the last bit
         q, n = empirical_moments(d_loop, y_loop)
-        via_loop = fit_from_moments(q, n, p=p, alpha=0.5, t=ds.t_count)
-        assert np.array_equal(fit_varx(ds, alpha=0.5).g, via_loop.g)
+        via_loop = solve_normal_equations(q, n, 0.5 / ds.t_count)
+        assert np.array_equal(fit_varx(ds, alpha=0.5).g, via_loop)
 
     @given(seeds, st.integers(1, 16), st.integers(0, 40), st.sampled_from([1, 2, 7]))
     def test_copy_across_row_chunks(self, seed, p, extra, rows):
@@ -173,13 +173,13 @@ class TestFit:
         resid = model.g @ (q + 0.5 / ds.t_count * np.eye(q.shape[0])) - n
         assert np.linalg.norm(resid) <= 1e-9 * (1.0 + np.linalg.norm(n))
 
-    def test_matches_fit_from_moments(self):
+    def test_matches_the_normal_equations(self):
         rng = rng_from(9)
         ds = Dataset(z=rng.standard_normal((50, 2)), p=2, n_u=1, n_y=1)
         d, y = build_regressors(ds)
         q, n = empirical_moments(d, y)
         direct = fit_varx(ds, alpha=2.0)
-        via_moments = fit_from_moments(q, n, p=2, alpha=2.0, t=ds.t_count)
+        via_moments = VarxModel(solve_normal_equations(q, n, 2.0 / ds.t_count), 2, 2.0)
         assert np.array_equal(direct.g, via_moments.g)
 
     def test_ridge_shrinks(self):
@@ -194,17 +194,16 @@ class TestFit:
         ds = Dataset(z=rng.standard_normal((60, 2)), p=1, n_u=1, n_y=1)
         d, y = build_regressors(ds)
         q, n = empirical_moments(d, y)
-        model = fit_from_moments(q, n, p=1, alpha=1.0, t=np.inf)
-        assert np.allclose(model.g, np.linalg.solve(q.T, n.T).T, atol=1e-12)
+        g = solve_normal_equations(q, n, 1.0 / np.inf)
+        assert np.allclose(g, np.linalg.solve(q.T, n.T).T, atol=1e-12)
 
     def test_singular_moments_raise_numerical_error(self):
         # one lag channel repeated: Q is singular and the ridge too small to help
         q = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
         message = r"lambda_min\(Q \+ ridge I\) = .*ridge = 1\.0+e-20"
         with pytest.raises(NumericalError, match=message):
-            fit_from_moments(q, np.ones((1, 3)), p=1, alpha=1e-20, t=1.0)
-        model = fit_from_moments(q, np.ones((1, 3)), p=1, alpha=1e-3, t=1.0)
-        assert np.all(np.isfinite(model.g))
+            solve_normal_equations(q, np.ones((1, 3)), 1e-20)
+        assert np.all(np.isfinite(solve_normal_equations(q, np.ones((1, 3)), 1e-3)))
 
     def test_overflowing_moments_raise_numerical_error(self):
         # finite data whose lag products overflow double precision
@@ -215,16 +214,12 @@ class TestFit:
             with pytest.raises(NumericalError, match="not finite"):
                 fit_varx(ds, alpha=1.0)
         with pytest.raises(NumericalError, match="not finite"):
-            fit_from_moments(np.full((2, 2), np.inf), np.ones((1, 2)), p=1, alpha=1.0, t=1.0)
+            solve_normal_equations(np.full((2, 2), np.inf), np.ones((1, 2)), 1.0)
 
     def test_rejects_bad_alpha(self):
         ds = counter_dataset()
         with pytest.raises(ValueError):
             fit_varx(ds, alpha=0.0)
-        with pytest.raises(ValueError):
-            fit_from_moments(np.eye(2), np.ones((1, 2)), p=1, alpha=-1.0, t=10.0)
-        with pytest.raises(ValueError):
-            fit_from_moments(np.eye(2), np.ones((1, 2)), p=1, alpha=1.0, t=0.0)
 
 
 class TestPredict:
