@@ -4,7 +4,7 @@
     python scripts/output_contract.py --compare DIR_A DIR_B [--rtol R]
 
 Runs a fixed list of ``redar`` commands (generate, experiment, bound and
-fit, on seeds 0 and 3, one bound at a target its ledger meets, one fit
+fit, on seeds 0 and 3, one bound whose cells are all valid, one fit
 at lag order 16 and one generate that fails) against the ``src`` tree
 of the checkout this script sits in, one after another, with OUT_DIR as
 the working directory, so every file a command writes lands in OUT_DIR.
@@ -57,9 +57,9 @@ def commands() -> list[tuple[str, list[str]]]:
                                       "--out", f"fit_data_seed{seed}.txt"]),
         ]
     return out + [
-        # a target the seed-0 ledger meets, where select_ledger scans candidates
-        ("bound-met-target", ["bound", "--loop", "loops/loop_seed0.txt", "--t0-target", "1e20",
-                              "--t", "10000000000000000,100000000000000000000"]),
+        # seed 0's t0* is 2.6e11: every cell is valid and uses its own ledger
+        ("bound-valid-cells", ["bound", "--loop", "loops/loop_seed0.txt", "--t",
+                               "1000000000000,10000000000000000,100000000000000000000"]),
         ("fit-loop", ["fit", "--loop", "loops/loop_seed3.txt", "--out", "fit_loop.txt"]),
         ("fit-loop-p6", ["fit", "--loop", "loops/loop_seed3.txt", "--p", "6", "--phi", "0.1",
                          "--out", "fit_loop_p6.txt"]),

@@ -26,7 +26,7 @@ terms underflow to zero at practical T0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -48,6 +48,7 @@ __all__ = [
     "element_deviation",
     "hard_floor",
     "build_ledger",
+    "least_ledger",
     "select_ledger",
     "expected_error_bound",
     "model_error_detail",
@@ -283,8 +284,6 @@ class ConstantLedger:
     ``constants`` maps each name of ``_FORMULAS`` to its value, in that
     order, read-only.  The ledger is valid for sample sizes T >= t0; k
     dominates the sum of all nine decay terms times sqrt(T) on that range.
-    ``target_met`` is set by ``select_ledger``: whether t0 reaches its
-    target, which decides how the candidate was chosen.
     """
 
     inputs: BoundInputs
@@ -295,7 +294,6 @@ class ConstantLedger:
     t0: float
     t0_candidate: float
     floor: float
-    target_met: bool | None = None
 
 
 def _moment_constants(inputs: BoundInputs) -> tuple[int, float, float, float, float]:
@@ -370,41 +368,7 @@ def build_ledger(inputs: BoundInputs, t0_candidate: float) -> ConstantLedger:
     )
 
 
-def select_ledger(inputs: BoundInputs, t_target: float) -> ConstantLedger:
-    """Pick the threshold candidate of the ledger for ``t_target``.
-
-    Only the peaks of the T^(3/4) and sqrt(T) decay terms depend on the
-    candidate c, through c6, and both fall as c grows.  So the ledger at
-    c = max(floor, target) meets the target (t0 <= t_target) exactly when
-    some candidate up to the target does, and it decides the branch:
-
-    * target met: sixteen candidates geometrically spaced between the hard
-      floor and the target, the last being that ledger; the one with the
-      smallest bound value at the target wins, the first on ties;
-    * target missed: the ledger at the smallest threshold any candidate
-      gives, whose candidate equals its own t0 (``_self_consistent_ledger``).
-
-    Raises NumericalError when a ledger constant leaves the floating-point
-    range, as extreme alpha, xi or j_norm make it.
-    """
-    try:
-        floor = hard_floor(inputs.p, inputs.alpha, inputs.xi)
-        endpoint = build_ledger(inputs, max(floor, float(t_target)))
-        if endpoint.t0 > t_target:
-            return replace(_self_consistent_ledger(inputs, floor), target_met=False)
-        # met, so floor <= t_target
-        scan = [build_ledger(inputs, float(c)) for c in np.geomspace(floor, t_target, 16)[:-1]]
-    except (OverflowError, ZeroDivisionError):
-        raise NumericalError(
-            f"ledger constants leave the floating-point range at alpha = {inputs.alpha!r}, "
-            f"xi = {inputs.xi!r}, j_norm = {inputs.j_norm!r}"
-        ) from None
-    feasible = [led for led in scan if led.t0 <= t_target] + [endpoint]
-    best = min(feasible, key=lambda led: expected_error_bound(inputs, led, t_target))
-    return replace(best, target_met=True)
-
-
-def _self_consistent_ledger(inputs: BoundInputs, floor: float) -> ConstantLedger:
+def least_ledger(inputs: BoundInputs) -> ConstantLedger:
     """The ledger at the smallest t0 of any candidate, with candidate t0.
 
     In x = c^(1/4), with a = 2 c2 J^2 alpha / xi^2, the sqrt(T) peak lies
@@ -416,18 +380,46 @@ def _self_consistent_ledger(inputs: BoundInputs, floor: float) -> ConstantLedger
     does not depend on c lies above the root, or roundoff leaves the
     sqrt(T) peak an ulp above it, the ledger is rebuilt at its own t0,
     where c6 is no smaller and so neither peak is larger.  Each k_i falls
-    as c grows, so k is also the smallest at that t0.
+    as c grows, so k is also the smallest at that t0, the threshold t0*.
+
+    Raises NumericalError when a ledger constant leaves the floating-point
+    range, as extreme alpha, xi or j_norm make it.
     """
-    _, _, c2, c3, _ = _moment_constants(inputs)
-    a = 2.0 * c2 * inputs.j_norm**2 * inputs.alpha / inputs.xi**2
-    k2 = 8.0 * math.sqrt(2.0) * inputs.xi / inputs.alpha
-    c = ((k2 * c3 + math.hypot(k2 * c3, 2.0 * math.sqrt(k2 * a))) / 2.0) ** 4
-    if not math.isfinite(c):
-        raise OverflowError("self-consistent threshold out of range")
-    ledger = build_ledger(inputs, max(floor, c))
-    if ledger.t0 > ledger.t0_candidate:
-        ledger = build_ledger(inputs, ledger.t0)
+    try:
+        _, _, c2, c3, _ = _moment_constants(inputs)
+        a = 2.0 * c2 * inputs.j_norm**2 * inputs.alpha / inputs.xi**2
+        k2 = 8.0 * math.sqrt(2.0) * inputs.xi / inputs.alpha
+        c = ((k2 * c3 + math.hypot(k2 * c3, 2.0 * math.sqrt(k2 * a))) / 2.0) ** 4
+        if not math.isfinite(c):
+            raise OverflowError("self-consistent threshold out of range")
+        ledger = build_ledger(inputs, max(hard_floor(inputs.p, inputs.alpha, inputs.xi), c))
+        if ledger.t0 > ledger.t0_candidate:
+            ledger = build_ledger(inputs, ledger.t0)
+    except (OverflowError, ZeroDivisionError):
+        raise NumericalError(
+            f"ledger constants leave the floating-point range at alpha = {inputs.alpha!r}, "
+            f"xi = {inputs.xi!r}, j_norm = {inputs.j_norm!r}"
+        ) from None
     return ledger
+
+
+def _cell_ledger(least: ConstantLedger, t: float) -> ConstantLedger:
+    """The ledger of the cell at sample size ``t``: the one built at
+    candidate t, whose k is the smallest of any candidate valid there.
+    Below t0*, and where roundoff leaves that ledger's t0 an ulp above t,
+    it is ``least`` itself."""
+    if t > least.t0:
+        ledger = build_ledger(least.inputs, t)
+        if ledger.t0 <= t:
+            return ledger
+    return least
+
+
+def select_ledger(inputs: BoundInputs, t_target: float) -> ConstantLedger:
+    """The ledger the cell at ``t_target`` uses; below the threshold t0*
+    of ``least_ledger``, which no candidate's t0 undercuts, that ledger.
+    Raises NumericalError as ``least_ledger`` does."""
+    return _cell_ledger(least_ledger(inputs), float(t_target))
 
 
 def expected_error_bound(
@@ -491,29 +483,38 @@ def model_error_detail(inputs: BoundInputs, theta: float, t: float) -> ModelErro
 
 @dataclass(frozen=True)
 class BoundCells:
-    """Both bounds at one sample size T for one ledger.
+    """Both bounds at one sample size T.
 
-    ``valid`` is T >= t0; below it the two expected-error values are None.
+    ``valid`` is T >= t0*; below it the two expected-error values are
+    None.  ``k`` is the constant of the ledger the cell used, and the
+    least ledger's where the cell is invalid.
     """
 
     valid: bool
     expected: float | None
     expected_alt: float | None
+    k: float
     model_error: ModelErrorDetail
 
 
 def bound_cells(ledger: ConstantLedger, theta: float, t: float) -> BoundCells:
-    """Model-error bound and, from t0 on, the primary and squared-tail
-    expected-error bounds at sample size ``t``, for the ledger's inputs."""
+    """Model-error bound and, from t0* on, the primary and squared-tail
+    expected-error bounds at sample size ``t``, for the ledger's inputs.
+
+    ``ledger`` is the ``least_ledger`` of those inputs; a valid cell's
+    expected values come from the ledger built at candidate ``t``.
+    """
     t = float(t)
     inputs = ledger.inputs
     detail = model_error_detail(inputs, theta, t)
     if not t >= ledger.t0:
-        return BoundCells(False, None, None, detail)
+        return BoundCells(False, None, None, ledger.k, detail)
+    cell = _cell_ledger(ledger, t)
     return BoundCells(
         True,
-        expected_error_bound(inputs, ledger, t),
-        expected_error_bound(inputs, ledger, t, squared_tail=True),
+        expected_error_bound(inputs, cell, t),
+        expected_error_bound(inputs, cell, t, squared_tail=True),
+        cell.k,
         detail,
     )
 
@@ -554,15 +555,9 @@ def bound_inputs(
     )
 
 
-# select_ledger's branch, keyed by ConstantLedger.target_met
-_SELECTION = {
-    True: "target met: best of 16 candidates",
-    False: "target missed: self-consistent threshold",
-}
-
-
 def format_ledger(ledger: ConstantLedger) -> str:
-    """Human-readable constant table with formula tags."""
+    """Human-readable constant table with formula tags, closed by the
+    cell rule that turns a least ledger into the bound at each T."""
     lines = [
         "constant ledger",
         f"  inputs: p={ledger.inputs.p} n_u={ledger.inputs.n_u} n_y={ledger.inputs.n_y} "
@@ -580,6 +575,5 @@ def format_ledger(ledger: ConstantLedger) -> str:
         )
     lines.append(f"  k = {ledger.k!r}  # sum of the nine k_i")
     lines.append(f"  t0 = {ledger.t0!r}  # max(candidate, every peak location)")
-    if ledger.target_met is not None:
-        lines.append(f"  t0 selection: {_SELECTION[ledger.target_met]}")
+    lines.append("  cells: a valid cell at T uses the ledger at candidate T")
     return "\n".join(lines) + "\n"

@@ -16,14 +16,13 @@ code of the first failed seed's error.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .bounds import bound_cells, bound_inputs, format_ledger, select_ledger
+from .bounds import bound_cells, bound_inputs, format_ledger, least_ledger
 from .errors import GenerationFailed, RedarError, SchemaError
 from .experiments import (
     ExperimentConfig,
@@ -190,14 +189,11 @@ def _cmd_bound(args) -> int:
     config = _config(
         args, {"t_sweep": ",".join(map(str, ts)), "test_length": str(max(ts, default=0) + 1)}
     )
-    if args.t0_target is not None and not 0 < args.t0_target < math.inf:
-        raise SchemaError(f"--t0-target must be positive and finite, got {args.t0_target}")
     model = load_model(args.loop)
     if not isinstance(model, ClosedLoop):
         raise SchemaError(f"{args.loop} does not hold a closed-loop model")
     inputs = bound_inputs(model, config.p, config.alpha, config.phi, n_rho=config.rho_grid)
-    target = args.t0_target if args.t0_target is not None else float(ts[-1])
-    ledger = select_ledger(inputs, target)
+    ledger = least_ledger(inputs)
     rows = []
     for t in ts:
         cells = bound_cells(ledger, config.theta, t)
@@ -288,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
         bound, ("p", "alpha", "phi", "theta", "hinf_grid", "envelope_grid", "rho_grid")
     )
     bound.add_argument("--t", required=True, help="comma-separated sample sizes")
-    bound.add_argument("--t0-target", type=float, default=None)
     bound.add_argument("--out", default=None, help="bound table CSV (default: stdout)")
     bound.add_argument("--ledger", default=None, help="constant ledger file (default: stdout)")
     bound.set_defaults(func=_cmd_bound, flags={"t_sweep": "--t"})

@@ -19,13 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import (
-    ConstantLedger,
-    bound_cells,
-    bound_inputs,
-    format_ledger,
-    select_ledger,
-)
+from .bounds import ConstantLedger, bound_cells, bound_inputs, format_ledger, least_ledger
 from .errors import RedarError, SchemaError
 from .kalman import finite_horizon_predictor
 from .linalg import hinf_norm, parallel_difference
@@ -240,7 +234,7 @@ def run_seed(config: ExperimentConfig, seed: int, log=None) -> SeedOutcome:
     cl = seed_loop(config, seed)
     say(f"seed {seed}: loop with {cl.n_states} states, xi = {cl.xi:.4g}")
     inputs = bound_inputs(cl, config.p, config.alpha, config.phi, n_rho=config.rho_grid)
-    ledger = select_ledger(inputs, float(max(config.t_sweep)))
+    ledger = least_ledger(inputs)
     say(f"seed {seed}: t0 = {ledger.t0:.4g}, k = {ledger.k:.4g}")
     h_opt = observer_form(finite_horizon_predictor(cl, config.p)[1])
     test, train = simulate_many(
@@ -274,7 +268,7 @@ def run_seed(config: ExperimentConfig, seed: int, log=None) -> SeedOutcome:
                 reduced_order=fit.reduced.order,
                 certified_error=fit.certified_error,
                 t0=ledger.t0,
-                k=ledger.k,
+                k=cells.k,
                 ledger_ref=f"ledger_seed{seed}.txt",
             )
         except (RedarError, np.linalg.LinAlgError) as exc:

@@ -25,6 +25,7 @@ from redar import (
     frequency_response,
     gain_envelope,
     hard_floor,
+    least_ledger,
     model_error_detail,
     moment_count,
     optimize_envelope,
@@ -354,6 +355,25 @@ class TestBuildLedger:
             select_ledger(inputs, t_target)
 
 
+def drawn_inputs(log_alpha, log_xi, log_j, p, n_u, n_y):
+    return BoundInputs(
+        level=1.0, rho=0.5, z_power=1.0, e_power_sq=1.0, j_norm=10.0**log_j,
+        xi=10.0**log_xi, p=p, n_u=n_u, n_y=n_y, alpha=10.0**log_alpha, phi=0.05,
+    )
+
+
+# bound inputs across many decades of alpha, xi and j_norm
+DRAWN_INPUTS = dict(
+    log_alpha=st.floats(-3.0, 3.0),
+    log_xi=st.floats(-3.0, 1.0),
+    log_j=st.floats(-1.0, 1.5),
+    p=st.integers(1, 8),
+    n_u=st.integers(1, 3),
+    n_y=st.integers(1, 3),
+)
+UNIT_DRAW = dict(log_alpha=0.0, log_xi=0.0, log_j=0.0, p=1, n_u=1, n_y=1)
+
+
 class TestSelectLedger:
     def test_feasible_for_moderate_target(self, mild_inputs):
         led = select_ledger(mild_inputs, 2.0**15)
@@ -363,7 +383,7 @@ class TestSelectLedger:
 
     def test_target_below_floor_gives_self_consistent_threshold(self, unit_inputs):
         led = select_ledger(unit_inputs, 2.0)
-        assert not led.target_met
+        assert led == least_ledger(unit_inputs)
         assert led.floor <= led.t0_candidate == led.t0 <= build_ledger(unit_inputs, 4.0).t0
 
     def test_infeasible_target_minimizes_threshold(self, unit_inputs):
@@ -384,66 +404,102 @@ class TestSelectLedger:
     def test_missed_target_is_its_own_candidate(self, request, name, t_target):
         inputs = request.getfixturevalue(name)
         led = select_ledger(inputs, t_target)
-        assert not led.target_met and led.t0 > t_target
+        assert led.t0 > t_target
         assert led.t0_candidate == led.t0
-        assert led == dataclasses.replace(build_ledger(inputs, led.t0), target_met=False)
+        assert led == build_ledger(inputs, led.t0) == least_ledger(inputs)
         # a candidate just below gives no smaller threshold
         below = build_ledger(inputs, max(led.floor, led.t0 * (1.0 - 1e-9)))
         assert below.t0 >= led.t0 * (1.0 - 1e-12)
 
     def test_target_at_the_self_consistent_threshold(self, unit_inputs):
-        # the endpoint ledger at the exact threshold has t0 equal to the
-        # target, which it meets; one ulp lower it misses it
-        t0 = select_ledger(unit_inputs, 5.0).t0
-        met = select_ledger(unit_inputs, t0)
-        assert met.target_met and met.t0 <= t0
-        assert met == dataclasses.replace(ledger_scan(unit_inputs, t0), target_met=True)
-        missed = select_ledger(unit_inputs, math.nextafter(t0, 0.0))
-        assert not missed.target_met and missed.t0 == t0
+        # at t0* the least ledger is the cell's own and the scan's pick;
+        # one ulp lower no candidate reaches the target
+        least = least_ledger(unit_inputs)
+        assert select_ledger(unit_inputs, least.t0) == least == ledger_scan(unit_inputs, least.t0)
+        assert select_ledger(unit_inputs, math.nextafter(least.t0, 0.0)) == least
+
+    def test_target_at_the_hard_floor(self):
+        # a geometric scan from this floor puts interior candidates one
+        # ulp below it, which build_ledger refuses with InvalidT0
+        cl = random_closed_loop(Dims(3, 2, 2), 0.7, seed=12, noise_floor=0.05)
+        inputs = bound_inputs(cl, p=1, alpha=100.0, phi=0.05)
+        target = hard_floor(1, 100.0, inputs.xi)
+        led = select_ledger(inputs, target)
+        assert led.t0 <= target * (1.0 + 1e-12) or led == least_ledger(inputs)
 
     def test_root_out_of_float_range_raises(self, unit_inputs, monkeypatch):
-        # alpha = 1e-200 puts the fixed point near 1e800; a stand-in
-        # endpoint that misses the target sends the selection to the root
+        # alpha = 1e-200 puts the fixed point near 1e800, out of range
+        # before any ledger is built
         inputs = dataclasses.replace(unit_inputs, alpha=1e-200)
-        endpoint = dataclasses.replace(build_ledger(unit_inputs, 4.0), t0=math.inf)
-        monkeypatch.setattr(redar.bounds, "build_ledger", lambda inputs, c: endpoint)
+
+        def unreachable(inputs, c):
+            raise AssertionError("a ledger was built")
+
+        monkeypatch.setattr(redar.bounds, "build_ledger", unreachable)
         with pytest.raises(NumericalError, match="floating-point range"):
             select_ledger(inputs, 1e6)
 
+
+class TestCellRule:
+    # a cell at T >= t0* uses the ledger built at candidate T
+
     @settings(max_examples=60, deadline=None)
-    @given(
-        log_alpha=st.floats(-3.0, 3.0),
-        log_xi=st.floats(-3.0, 1.0),
-        log_j=st.floats(-1.0, 1.5),
-        log_target=st.floats(0.0, 40.0),
-        p=st.integers(1, 8),
-        n_u=st.integers(1, 3),
-        n_y=st.integers(1, 3),
-    )
-    @example(log_alpha=0.0, log_xi=0.0, log_j=0.0, log_target=0.0, p=1, n_u=1, n_y=1)
-    def test_against_dense_candidate_scan(self, log_alpha, log_xi, log_j, log_target, p, n_u, n_y):
-        inputs = BoundInputs(
-            level=1.0, rho=0.5, z_power=1.0, e_power_sq=1.0, j_norm=10.0**log_j,
-            xi=10.0**log_xi, p=p, n_u=n_u, n_y=n_y, alpha=10.0**log_alpha, phi=0.05,
+    @given(log_ratio=st.floats(0.0, 12.0), **DRAWN_INPUTS)
+    @example(log_ratio=0.0, **UNIT_DRAW)
+    def test_candidate_ledger_is_valid_from_the_least_threshold(self, log_ratio, **draw):
+        inputs = drawn_inputs(**draw)
+        t = least_ledger(inputs).t0 * 10.0**log_ratio
+        assert build_ledger(inputs, t).t0 <= t * (1.0 + 1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(**DRAWN_INPUTS)
+    @example(**UNIT_DRAW)
+    def test_valid_from_the_least_threshold_on(self, **draw):
+        least = least_ledger(drawn_inputs(**draw))
+        below = bound_cells(least, 0.1, math.nextafter(least.t0, 0.0))
+        assert not below.valid and below.expected is None and below.k == least.k
+        at = bound_cells(least, 0.1, least.t0)
+        assert at.valid and at.expected == expected_error_bound(least.inputs, least, least.t0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(log_ratio=st.floats(0.0, 12.0), **DRAWN_INPUTS)
+    @example(log_ratio=0.0, **UNIT_DRAW)
+    @example(log_ratio=3.0, **UNIT_DRAW)
+    def test_no_candidate_bounds_lower(self, log_ratio, **draw):
+        inputs = drawn_inputs(**draw)
+        least = least_ledger(inputs)
+        t = least.t0 * 10.0**log_ratio
+        cell = bound_cells(least, 0.1, t)
+        # k falls as the candidate grows, up to roundoff in the sum of k_i
+        assert cell.valid and cell.k <= least.k * (1.0 + 1e-12)
+        assert all(
+            cell.expected <= expected_error_bound(inputs, alt, t) * (1.0 + 1e-12)
+            for alt in dense_ledger_scan(inputs)
+            if alt.t0 <= t
         )
-        t_target = 10.0**log_target
-        led = select_ledger(inputs, t_target)
-        dense = dense_ledger_scan(inputs)
-        if led.target_met:
-            # the sixteen-candidate scan as it was, and no candidate bounds lower
-            assert led == dataclasses.replace(ledger_scan(inputs, t_target), target_met=True)
-            value = expected_error_bound(inputs, led, t_target)
-            assert all(
-                value <= expected_error_bound(inputs, alt, t_target)
-                for alt in dense
-                if alt.t0 <= t_target
-            )
-        else:
-            # above the target, and below every candidate's threshold
-            assert t_target < led.t0 == led.t0_candidate
-            assert led.t0 <= min(alt.t0 for alt in dense)
-            below = build_ledger(inputs, max(led.floor, led.t0 * (1.0 - 1e-9)))
-            assert below.t0 >= led.t0 * (1.0 - 1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(log_target=st.floats(0.0, 40.0), log_ratio=st.floats(0.0, 8.0), **DRAWN_INPUTS)
+    @example(log_target=0.0, log_ratio=0.0, **UNIT_DRAW)
+    @example(log_target=6.0, log_ratio=1.0, **UNIT_DRAW)
+    def test_never_looser_than_the_scan(self, log_target, log_ratio, **draw):
+        # every cell the sixteen-candidate scan for a target X made valid
+        # is valid under the cell rule, with a bound no larger
+        inputs = drawn_inputs(**draw)
+        old = ledger_scan(inputs, 10.0**log_target)
+        t = old.t0 * 10.0**log_ratio
+        cell = bound_cells(least_ledger(inputs), 0.1, t)
+        assert cell.valid
+        assert cell.expected <= expected_error_bound(inputs, old, t) * (1.0 + 1e-12)
+
+    def test_sample_size_above_the_least_threshold_tightens(self, mild_inputs):
+        # on the mild loop t0* < 2^15; at 2^16 the cell's own ledger gives
+        # a smaller k than the ledger for 2^15
+        least = least_ledger(mild_inputs)
+        assert least.t0 <= 2.0**15
+        cell = bound_cells(least, 0.1, 2.0**16)
+        assert cell.k == build_ledger(mild_inputs, 2.0**16).k
+        assert cell.k < select_ledger(mild_inputs, 2.0**15).k < least.k
 
 
 class TestExpectedErrorBound:
@@ -625,17 +681,11 @@ class TestFormatLedger:
         assert f"t0 = {led.t0!r}" in text
         assert f"k = {led.k!r}" in text
 
-    @pytest.mark.parametrize(
-        "t_target, line",
-        [
-            (2.0**15, "  t0 selection: target met: best of 16 candidates"),
-            (2.0**10, "  t0 selection: target missed: self-consistent threshold"),
-        ],
-    )
-    def test_names_the_selection_branch(self, mild_inputs, t_target, line):
+    @pytest.mark.parametrize("t_target", [2.0**10, 2.0**15])
+    def test_ends_with_the_cell_rule(self, mild_inputs, t_target):
         led = select_ledger(mild_inputs, t_target)
+        line = "  cells: a valid cell at T uses the ledger at candidate T"
         assert format_ledger(led).split("\n")[-2] == line
-        assert "selection" not in format_ledger(build_ledger(mild_inputs, led.t0))
 
     def test_table_is_the_formula_list(self, mild_inputs):
         # one line per name of the formula table, in its order, each

@@ -366,9 +366,8 @@ class TestBoundEdges:
     @pytest.mark.parametrize(
         "argv, code",
         [
-            (["--t=4,8", "--t0-target=1e130"], 0),
             ([f"--t=4,{10**130}"], 0),
-            (["--t=4,8", "--t0-target=1e300"], 0),
+            ([f"--t=4,{10**300}"], 0),
             ([f"--t=4,{10**400}"], 4),
         ],
     )
@@ -377,12 +376,12 @@ class TestBoundEdges:
         assert result[0] == code
         assert_ends_cleanly(*result)
 
-    # alpha so far from unit scale that a ledger constant, or the threshold
-    # that selects the ledger, leaves the floating-point range
+    # alpha so far from unit scale that a ledger constant, or the least
+    # threshold, leaves the floating-point range
     @pytest.mark.parametrize("alpha", ["1e-200", "1e-80", "1e155", "1e200"])
-    @pytest.mark.parametrize("target", [[], ["--t0-target=1e300"]])
-    def test_alpha_out_of_float_range_exits_1(self, seed0_file, alpha, target):
-        code, out, err = run_bound(seed0_file, ["--t=64", f"--alpha={alpha}", *target])
+    @pytest.mark.parametrize("t", ["64", f"64,{10**300}"])
+    def test_alpha_out_of_float_range_exits_1(self, seed0_file, alpha, t):
+        code, out, err = run_bound(seed0_file, [f"--t={t}", f"--alpha={alpha}"])
         assert code == 1 and out == ""
         assert err.startswith("redar: ledger constants leave the floating-point range")
         assert err.count("\n") == 1
@@ -396,9 +395,6 @@ class TestBoundEdges:
             min_size=1,
             max_size=3,
         ).map(",".join),
-        target=st.none()
-        | st.floats(1e-3, 1e308)
-        | st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -2.0]),
         p=st.integers(1, 8),
         alpha=st.none()
         | st.floats(1e-3, 1e3)
@@ -407,16 +403,24 @@ class TestBoundEdges:
         phi=st.none() | st.floats(0.0, 10.0) | st.sampled_from([math.nan, math.inf, -1.0, 1e300]),
         theta=st.none() | st.floats(0.01, 0.99) | st.sampled_from([math.nan, 0.0, 1.0, 1.5]),
     )
-    @example(t="4,8", target=1e130, p=4, alpha=None, phi=None, theta=None)
-    @example(t=f"4,{10**130}", target=None, p=4, alpha=None, phi=None, theta=None)
-    @example(t=f"4,{10**400}", target=None, p=4, alpha=None, phi=None, theta=None)
-    @example(t="64", target=None, p=4, alpha=1e200, phi=None, theta=None)
-    @example(t="64", target=None, p=4, alpha=1e-200, phi=None, theta=None)
-    def test_flag_values_end_with_an_exit_code(self, seed0_file, t, target, p, alpha, phi, theta):
+    @example(t=f"4,{10**130}", p=4, alpha=None, phi=None, theta=None)
+    @example(t=f"4,{10**400}", p=4, alpha=None, phi=None, theta=None)
+    @example(t="64", p=4, alpha=1e200, phi=None, theta=None)
+    @example(t="64", p=4, alpha=1e-200, phi=None, theta=None)
+    def test_flag_values_end_with_an_exit_code(self, seed0_file, t, p, alpha, phi, theta):
         argv = [f"--t={t}", f"--p={p}"]
-        flags = {"t0-target": target, "alpha": alpha, "phi": phi, "theta": theta}
+        flags = {"alpha": alpha, "phi": phi, "theta": theta}
         argv += [f"--{flag}={value!r}" for flag, value in flags.items() if value is not None]
         assert_ends_cleanly(*run_bound(seed0_file, argv))
+
+    def test_t0_target_is_an_unknown_flag(self, seed0_file, capsys):
+        # every cell uses its own ledger: no target steers the choice
+        with pytest.raises(SystemExit) as exc:
+            run_cli("bound", "--loop", str(seed0_file), "--t", "64", "--t0-target", "1e6")
+        assert exc.value.code == 4
+        err = capsys.readouterr().err.splitlines()
+        assert [line.startswith("usage: ") for line in err] == [True, False]
+        assert err[1].endswith("unrecognized arguments: --t0-target 1e6")
 
 
 class TestExperiment:
@@ -455,7 +459,7 @@ class TestExperiment:
         report = (flag_dir / "report.csv").read_text().strip().split("\n")
         assert len(report) == 3
 
-    # t0_candidates was a setting once; select_ledger now chooses the candidate itself
+    # t0_candidates was a setting once; each cell's sample size is now its candidate
     @pytest.mark.parametrize("key", ["bogus", "t0_candidates"])
     def test_unknown_config_key(self, tmp_path, capsys, key):
         config = tmp_path / "run.cfg"
@@ -584,10 +588,6 @@ BAD_SETTINGS = [
     ("fit --data", "--p", "0"),
     ("fit --data", "--alpha", "0"),
     ("bound", "--phi", "nan"),
-    ("bound", "--t0-target", "0"),
-    ("bound", "--t0-target", "-1"),
-    ("bound", "--t0-target", "nan"),
-    ("bound", "--t0-target", "inf"),
     ("bound", "--alpha", "inf"),
     ("bound", "--t", f"4,{10**400}"),
     ("experiment", "--phi", "nan"),

@@ -10,6 +10,9 @@ from redar import (
     ExperimentConfig,
     ReportRow,
     SchemaError,
+    build_ledger,
+    expected_error_bound,
+    least_ledger,
     run_experiment,
     run_seed,
     write_outputs,
@@ -156,6 +159,21 @@ class TestRunSeed:
             assert got.status == want.status == "ok"
             assert got.hinf_actual == pytest.approx(want.hinf_actual, rel=1e-9, abs=0)
             assert got.mse_oracle == pytest.approx(want.mse_oracle, rel=1e-12, abs=0)
+
+    def test_each_valid_row_uses_its_own_ledger(self):
+        # seed 0 at p = 1 has t0* = 1.4e5: the first row is invalid and
+        # reports the least ledger's k, the second is bounded with the
+        # ledger built at its own sample size
+        config = dataclasses.replace(TINY, p=1, t_sweep=(2**16, 2**18))
+        outcome = run_seed(config, 0)
+        least = outcome.ledger
+        assert least == least_ledger(least.inputs)
+        invalid, valid = outcome.rows
+        assert not invalid.bound_valid and invalid.k == least.k
+        own = build_ledger(least.inputs, 2.0**18)
+        assert valid.bound_valid and valid.k == own.k < least.k
+        assert valid.expected_bound == expected_error_bound(least.inputs, own, 2.0**18)
+        assert invalid.t0 == valid.t0 == least.t0
 
     def test_rows_cover_sweep_in_order(self):
         outcome = run_seed(TINY, 1)
