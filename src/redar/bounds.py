@@ -418,7 +418,8 @@ def _cell_ledger(least: ConstantLedger, t: float) -> ConstantLedger:
 def select_ledger(inputs: BoundInputs, t_target: float) -> ConstantLedger:
     """The ledger the cell at ``t_target`` uses; below the threshold t0*
     of ``least_ledger``, which no candidate's t0 undercuts, that ledger.
-    Raises NumericalError as ``least_ledger`` does."""
+    Raises NumericalError as ``least_ledger`` does.  Its t0 is t0* only
+    below t0*: pass ``bound_cells`` the ``least_ledger``, not this."""
     return _cell_ledger(least_ledger(inputs), float(t_target))
 
 

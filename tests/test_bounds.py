@@ -444,6 +444,25 @@ class TestCellRule:
     # a cell at T >= t0* uses the ledger built at candidate T
 
     @settings(max_examples=60, deadline=None)
+    @given(log_target=st.floats(0.0, 40.0), **DRAWN_INPUTS)
+    @example(log_target=0.0, **UNIT_DRAW)
+    def test_least_threshold_against_dense_candidate_scan(self, log_target, **draw):
+        inputs = drawn_inputs(**draw)
+        least = least_ledger(inputs)
+        # t0* is its own candidate and below every candidate's threshold
+        assert least.t0 == least.t0_candidate
+        assert least.t0 <= min(alt.t0 for alt in dense_ledger_scan(inputs))
+        below = build_ledger(inputs, max(least.floor, least.t0 * (1.0 - 1e-9)))
+        assert below.t0 >= least.t0 * (1.0 - 1e-12)
+        # a missed target gets the least ledger, a met one a ledger valid there
+        t_target = 10.0**log_target
+        led = select_ledger(inputs, t_target)
+        if t_target < least.t0:
+            assert led == least
+        else:
+            assert least.t0 <= led.t0 <= t_target
+
+    @settings(max_examples=60, deadline=None)
     @given(log_ratio=st.floats(0.0, 12.0), **DRAWN_INPUTS)
     @example(log_ratio=0.0, **UNIT_DRAW)
     def test_candidate_ledger_is_valid_from_the_least_threshold(self, log_ratio, **draw):
