@@ -4,8 +4,9 @@
     python scripts/output_contract.py --compare DIR_A DIR_B [--rtol R]
 
 Runs a fixed list of ``redar`` commands (generate, experiment, bound and
-fit, on seeds 0 and 3, one bound whose cells are all valid, one fit
-at lag order 16 and one generate that fails) against the ``src`` tree
+fit, on seeds 0 and 3, one bound whose cells are all valid, one whose
+cells straddle the threshold t0*, one fit at lag order 16 and one
+generate that fails) against the ``src`` tree
 of the checkout this script sits in, one after another, with OUT_DIR as
 the working directory, so every file a command writes lands in OUT_DIR.
 Command ``NN-name`` also leaves ``NN-name.cmd`` (its arguments),
@@ -60,6 +61,9 @@ def commands() -> list[tuple[str, list[str]]]:
         # seed 0's t0* is 2.6e11: every cell is valid and uses its own ledger
         ("bound-valid-cells", ["bound", "--loop", "loops/loop_seed0.txt", "--t",
                                "1000000000000,10000000000000000,100000000000000000000"]),
+        # 1e11 lies below t0* and 1e12 above it: a table with both kinds of k
+        ("bound-straddle", ["bound", "--loop", "loops/loop_seed0.txt", "--t",
+                            "100000000000,1000000000000"]),
         ("fit-loop", ["fit", "--loop", "loops/loop_seed3.txt", "--out", "fit_loop.txt"]),
         ("fit-loop-p6", ["fit", "--loop", "loops/loop_seed3.txt", "--p", "6", "--phi", "0.1",
                          "--out", "fit_loop_p6.txt"]),

@@ -403,24 +403,18 @@ def least_ledger(inputs: BoundInputs) -> ConstantLedger:
     return ledger
 
 
-def _cell_ledger(least: ConstantLedger, t: float) -> ConstantLedger:
-    """The ledger of the cell at sample size ``t``: the one built at
+def select_ledger(inputs: BoundInputs, t_target: float) -> ConstantLedger:
+    """The ledger of the cell at sample size ``t_target``: the one built at
     candidate t, whose k is the smallest of any candidate valid there.
-    Below t0*, and where roundoff leaves that ledger's t0 an ulp above t,
-    it is ``least`` itself."""
+    Below the threshold t0* of ``least_ledger``, which no candidate's t0
+    undercuts, and where roundoff leaves that ledger's t0 an ulp above t,
+    it is the least ledger.  Raises NumericalError as ``least_ledger`` does."""
+    least, t = least_ledger(inputs), float(t_target)
     if t > least.t0:
-        ledger = build_ledger(least.inputs, t)
+        ledger = build_ledger(inputs, t)
         if ledger.t0 <= t:
             return ledger
     return least
-
-
-def select_ledger(inputs: BoundInputs, t_target: float) -> ConstantLedger:
-    """The ledger the cell at ``t_target`` uses; below the threshold t0*
-    of ``least_ledger``, which no candidate's t0 undercuts, that ledger.
-    Raises NumericalError as ``least_ledger`` does.  Its t0 is t0* only
-    below t0*: pass ``bound_cells`` the ``least_ledger``, not this."""
-    return _cell_ledger(least_ledger(inputs), float(t_target))
 
 
 def expected_error_bound(
@@ -498,24 +492,20 @@ class BoundCells:
     model_error: ModelErrorDetail
 
 
-def bound_cells(ledger: ConstantLedger, theta: float, t: float) -> BoundCells:
+def bound_cells(inputs: BoundInputs, theta: float, t: float) -> BoundCells:
     """Model-error bound and, from t0* on, the primary and squared-tail
-    expected-error bounds at sample size ``t``, for the ledger's inputs.
-
-    ``ledger`` is the ``least_ledger`` of those inputs; a valid cell's
-    expected values come from the ledger built at candidate ``t``.
-    """
+    expected-error bounds at sample size ``t``, from the ``select_ledger``
+    ledger of the cell."""
     t = float(t)
-    inputs = ledger.inputs
     detail = model_error_detail(inputs, theta, t)
+    ledger = select_ledger(inputs, t)
     if not t >= ledger.t0:
         return BoundCells(False, None, None, ledger.k, detail)
-    cell = _cell_ledger(ledger, t)
     return BoundCells(
         True,
-        expected_error_bound(inputs, cell, t),
-        expected_error_bound(inputs, cell, t, squared_tail=True),
-        cell.k,
+        expected_error_bound(inputs, ledger, t),
+        expected_error_bound(inputs, ledger, t, squared_tail=True),
+        ledger.k,
         detail,
     )
 

@@ -54,6 +54,7 @@ BOUND_COLUMNS = (
     "bound_valid",
     "expected_bound",
     "expected_bound_alt",
+    "k",
     "hinf_bound",
     "delta",
     "small_deviation_branch",
@@ -196,7 +197,7 @@ def _cmd_bound(args) -> int:
     ledger = least_ledger(inputs)
     rows = []
     for t in ts:
-        cells = bound_cells(ledger, config.theta, t)
+        cells = bound_cells(inputs, config.theta, t)
         detail = cells.model_error
         rows.append(
             [
@@ -204,6 +205,7 @@ def _cmd_bound(args) -> int:
                 render_cell(cells.valid),
                 render_bound(cells.expected, cells.valid),
                 render_bound(cells.expected_alt, cells.valid),
+                render_cell(cells.k),
                 render_cell(detail.value),
                 render_cell(detail.delta),
                 render_cell(detail.small_deviation_branch),
@@ -221,7 +223,7 @@ def _cmd_bound(args) -> int:
         print(f"wrote constant ledger to {args.ledger}")
     else:
         print(dump, end="")
-    print(f"t0 = {ledger.t0!r}, k = {ledger.k!r}")
+    print(f"t0 = {ledger.t0!r}")
     return 0
 
 

@@ -254,7 +254,7 @@ def run_seed(config: ExperimentConfig, seed: int, log=None) -> SeedOutcome:
             yhat = run_predictor(fit.reduced.ss, test_z)
             mse_fit = prediction_mse(test.y, yhat, discard=config.p)
             hinf_actual = hinf_norm(parallel_difference(fit.reduced.ss, h_opt))
-            cells = bound_cells(ledger, config.theta, t)
+            cells = bound_cells(inputs, config.theta, t)
             row = ReportRow(
                 seed=seed,
                 t=t,

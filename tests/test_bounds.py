@@ -35,6 +35,7 @@ from redar import (
     steady_state_predictor,
     tail_bound,
 )
+from redar.experiments import ExperimentConfig, seed_loop
 
 from .oracles import dense_ledger_scan, envelope_scan_loop, ledger_scan
 from .support import random_system, rng_from
@@ -474,11 +475,12 @@ class TestCellRule:
     @given(**DRAWN_INPUTS)
     @example(**UNIT_DRAW)
     def test_valid_from_the_least_threshold_on(self, **draw):
-        least = least_ledger(drawn_inputs(**draw))
-        below = bound_cells(least, 0.1, math.nextafter(least.t0, 0.0))
+        inputs = drawn_inputs(**draw)
+        least = least_ledger(inputs)
+        below = bound_cells(inputs, 0.1, math.nextafter(least.t0, 0.0))
         assert not below.valid and below.expected is None and below.k == least.k
-        at = bound_cells(least, 0.1, least.t0)
-        assert at.valid and at.expected == expected_error_bound(least.inputs, least, least.t0)
+        at = bound_cells(inputs, 0.1, least.t0)
+        assert at.valid and at.expected == expected_error_bound(inputs, least, least.t0)
 
     @settings(max_examples=60, deadline=None)
     @given(log_ratio=st.floats(0.0, 12.0), **DRAWN_INPUTS)
@@ -488,7 +490,7 @@ class TestCellRule:
         inputs = drawn_inputs(**draw)
         least = least_ledger(inputs)
         t = least.t0 * 10.0**log_ratio
-        cell = bound_cells(least, 0.1, t)
+        cell = bound_cells(inputs, 0.1, t)
         # k falls as the candidate grows, up to roundoff in the sum of k_i
         assert cell.valid and cell.k <= least.k * (1.0 + 1e-12)
         assert all(
@@ -507,7 +509,7 @@ class TestCellRule:
         inputs = drawn_inputs(**draw)
         old = ledger_scan(inputs, 10.0**log_target)
         t = old.t0 * 10.0**log_ratio
-        cell = bound_cells(least_ledger(inputs), 0.1, t)
+        cell = bound_cells(inputs, 0.1, t)
         assert cell.valid
         assert cell.expected <= expected_error_bound(inputs, old, t) * (1.0 + 1e-12)
 
@@ -516,9 +518,22 @@ class TestCellRule:
         # a smaller k than the ledger for 2^15
         least = least_ledger(mild_inputs)
         assert least.t0 <= 2.0**15
-        cell = bound_cells(least, 0.1, 2.0**16)
+        cell = bound_cells(mild_inputs, 0.1, 2.0**16)
         assert cell.k == build_ledger(mild_inputs, 2.0**16).k
         assert cell.k < select_ledger(mild_inputs, 2.0**15).k < least.k
+
+    def test_cell_ledger_comes_from_the_inputs(self):
+        # the loop of `redar generate --seeds 0` at p = 4: t0* < 1e12 < 1e16,
+        # and the cell at 1e12 uses the ledger at candidate 1e12, whatever
+        # ledger a caller might have had at hand
+        loop = seed_loop(ExperimentConfig(), 0)
+        inputs = bound_inputs(loop, 4, 1.0, 0.05)
+        assert least_ledger(inputs).t0 < 1e12 < select_ledger(inputs, 1e16).t0
+        cell = bound_cells(inputs, 0.1, 1e12)
+        own = build_ledger(inputs, 1e12)
+        assert cell.valid
+        assert cell.expected == expected_error_bound(inputs, own, 1e12)
+        assert cell.k == own.k
 
 
 class TestExpectedErrorBound:
@@ -607,8 +622,7 @@ class TestModelErrorBound:
 
     def test_value_matches_detail(self, mild_inputs):
         detail = model_error_detail(mild_inputs, 0.1, 4096.0)
-        ledger = select_ledger(mild_inputs, 4096.0)
-        assert bound_cells(ledger, 0.1, 4096.0).model_error == detail
+        assert bound_cells(mild_inputs, 0.1, 4096.0).model_error == detail
 
     def test_includes_reduction_budget(self, mild_inputs):
         import dataclasses

@@ -23,7 +23,10 @@ from redar import (
     IdentifiedModel,
     MomentSet,
     Unstable,
+    bound_cells,
+    bound_inputs,
     fit_redar,
+    least_ledger,
     load_dataset_csv,
     load_model,
     random_closed_loop,
@@ -124,6 +127,42 @@ class TestGenerate:
     def test_bad_seed_list(self, tmp_path):
         assert run_cli("generate", "--seeds", "x", "--out-dir", str(tmp_path)) == 4
         assert run_cli("generate", "--seeds", ",", "--out-dir", str(tmp_path)) == 4
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seeds=st.lists(
+            st.integers(-2, 10**6).map(str) | st.sampled_from(["", "x", "1.5", str(2**70)]),
+            min_size=1,
+            max_size=2,
+        ).map(",".join),
+        dims=st.tuples(*[st.none() | st.integers(0, 4)] * 3),
+        spectral_target=st.none()
+        | st.floats(0.0, 1.0)
+        | st.sampled_from([math.nan, math.inf, -0.5, 1.5]),
+        noise_floor=st.none()
+        | st.floats(1e-6, 10.0)
+        | st.sampled_from([math.nan, math.inf, 1e100, 0.0, -1.0]),
+        burn_in=st.none() | st.integers(-10, 10**4),
+    )
+    def test_flag_values_end_with_an_exit_code(
+        self, seeds, dims, spectral_target, noise_floor, burn_in
+    ):
+        # in process: no traceback, no warning, and at most one redar: line
+        names = ("n-x", "n-u", "n-y", "spectral-target", "noise-floor", "burn-in")
+        values = (*dims, spectral_target, noise_floor, burn_in)
+        argv = [f"--seeds={seeds}"]
+        argv += [f"--{name}={value!r}" for name, value in zip(names, values) if value is not None]
+        with tempfile.TemporaryDirectory() as tmp:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    code = main(["generate", *argv, f"--out-dir={tmp}"])
+        assert code in (0, 3, 4)
+        if code == 0:
+            assert err.getvalue() == "" and "wrote closed loop to " in out.getvalue()
+        else:
+            assert err.getvalue().startswith("redar: ") and err.getvalue().count("\n") == 1
 
 
 class TestFit:
@@ -269,6 +308,22 @@ class TestBound:
         assert last["small_deviation_branch"] in ("yes", "no")
         assert ledger.read_text().startswith("constant ledger")
         assert "t0 = " in capsys.readouterr().out
+
+    def test_each_row_shows_the_k_of_its_cell(self, mild_file, capsys):
+        # below t0* a row shows the least ledger's k, above it its own
+        assert run_cli("bound", "--loop", str(mild_file), "--p", "2", "--alpha", "50",
+                       "--t", "4096,65536") == 0
+        lines = capsys.readouterr().out.split("\n")
+        start = lines.index(",".join(BOUND_COLUMNS)) + 1
+        rows = [dict(zip(BOUND_COLUMNS, line.split(","))) for line in lines[start : start + 2]]
+        config = ExperimentConfig()
+        inputs = bound_inputs(load_model(mild_file), 2, 50.0, config.phi, n_rho=config.rho_grid)
+        least = least_ledger(inputs)
+        assert rows[0]["t"] == "4096" and rows[0]["bound_valid"] == "no"
+        assert rows[0]["k"] == repr(least.k)
+        assert rows[1]["t"] == "65536" and rows[1]["bound_valid"] == "yes"
+        assert rows[1]["k"] == repr(bound_cells(inputs, config.theta, 65536).k) != rows[0]["k"]
+        assert lines[-2] == f"t0 = {least.t0!r}"
 
     def test_prints_to_stdout_without_out_flags(self, mild_file, capsys):
         code = run_cli(
