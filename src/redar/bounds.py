@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -101,6 +102,11 @@ class BoundInputs:
     @property
     def n_z(self) -> int:
         return self.n_u + self.n_y
+
+    @cached_property
+    def _least_ledger(self) -> ConstantLedger:
+        # least_ledger(self), built once per instance (the fields are frozen)
+        return least_ledger(self)
 
 
 def gain_envelope(h_star: StateSpace, rho: float) -> float:
@@ -409,7 +415,7 @@ def select_ledger(inputs: BoundInputs, t_target: float) -> ConstantLedger:
     Below the threshold t0* of ``least_ledger``, which no candidate's t0
     undercuts, and where roundoff leaves that ledger's t0 an ulp above t,
     it is the least ledger.  Raises NumericalError as ``least_ledger`` does."""
-    least, t = least_ledger(inputs), float(t_target)
+    least, t = inputs._least_ledger, float(t_target)
     if t > least.t0:
         ledger = build_ledger(inputs, t)
         if ledger.t0 <= t:

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
-from .linalg import StateSpace, _as_matrix, balanced_truncate
+from .errors import DimensionMismatch, NumericalError
+from .linalg import StateSpace, _as_matrix, _require_stable, balanced_truncate
 from .varx import Dataset, VarxModel, _as_samples, fit_varx
 
 __all__ = [
@@ -185,10 +185,22 @@ class FitResult:
 
 def fit_redar(ds: Dataset, alpha: float, phi: float) -> FitResult:
     """Full pipeline: ridge VARX fit, delay-line realization, balanced
-    reduction to budget ``phi``, innovation-form extraction."""
+    reduction to budget ``phi``, innovation-form extraction.
+
+    Raises NumericalError when the reduced predictor is not stable.  The
+    delay line is stable, but balancing scales each kept state by one
+    over the square root of its Hankel singular value, so a ``phi`` small
+    enough to keep states whose values are roundoff can break that.
+    """
     varx = fit_varx(ds, alpha)
     full = predictor_from_coefficients(varx.g, varx.p, ds.n_u, ds.n_y)
     reduced_ss, certified = balanced_truncate(full.ss, phi)
+    _require_stable(
+        reduced_ss,
+        NumericalError,
+        f"the predictor reduced to order {reduced_ss.n_states} at phi = {phi!r} "
+        "has spectral radius {:.6g}; a larger phi drops its roundoff-level states",
+    )
     reduced = PredictorRealization(reduced_ss, kind="reduced")
     model = extract_innovation_form(reduced)
     return FitResult(varx=varx, full=full, reduced=reduced, certified_error=certified, model=model)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, SchemaError
 from .realization import IdentifiedModel
-from .systems import ClosedLoop, Controller, InnovationModel, assemble_closed_loop
+from .systems import ClosedLoop, Controller, InnovationModel
 from .varx import Dataset
 
 __all__ = [
@@ -189,7 +189,7 @@ def _model(parser: _Parser, block_kind, matrices, sections):
         plant, controller = sections["plant"], sections["controller"]
         if not isinstance(plant, InnovationModel) or not isinstance(controller, Controller):
             parser.fail("closed-loop sections have the wrong types")
-        return assemble_closed_loop(plant, controller)
+        return ClosedLoop(plant, controller)
     parser.fail(f"unknown model type {block_kind!r}")
 
 

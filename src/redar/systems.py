@@ -47,7 +47,6 @@ __all__ = [
     "ClosedLoop",
     "Trajectory",
     "Dims",
-    "assemble_closed_loop",
     "noise_to_signal",
     "autocovariance",
     "simulate",
@@ -137,27 +136,53 @@ class Controller:
 
 @dataclass(frozen=True, eq=False)
 class ClosedLoop:
-    """Assembled loop over the joint state (x, s) with z = (u, y)."""
+    """Loop of a plant and its controller over the joint state (x, s),
+    with z = (u, y).
+
+    The loop matrices and ``xi``, the smallest eigenvalue of ``gamma``, are
+    derived from the two parts, once, and cannot be set.  Raises DimensionMismatch when the controller does not
+    fit the plant, ValueError naming the first derived matrix that is not
+    finite, Unstable when the loop spectral radius reaches
+    1 - STABILITY_MARGIN and DegenerateNoise when blockdiag(Psi, D2F D2F^T)
+    is numerically singular (``xi`` at most 1e-12).
+    """
 
     plant: InnovationModel
     controller: Controller
-    a: np.ndarray = field(repr=False)
-    b_e: np.ndarray = field(repr=False)
-    b_v: np.ndarray = field(repr=False)
-    c_z: np.ndarray = field(repr=False)
-    d_e: np.ndarray = field(repr=False)
-    d_v: np.ndarray = field(repr=False)
+    a: np.ndarray = field(init=False, repr=False)
+    b_e: np.ndarray = field(init=False, repr=False)
+    b_v: np.ndarray = field(init=False, repr=False)
+    c_z: np.ndarray = field(init=False, repr=False)
+    d_e: np.ndarray = field(init=False, repr=False)
+    d_v: np.ndarray = field(init=False, repr=False)
+    xi: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        a = _as_matrix(self.a, name="A", square=True)
-        n, n_z, n_y, n_v = a.shape[0], self.n_z, self.n_y, self.controller.n_v
-        b_e = _as_matrix(self.b_e, n, n_y, "B_e")
-        b_v = _as_matrix(self.b_v, n, n_v, "B_v")
-        c_z = _as_matrix(self.c_z, n_z, n, "C_z")
-        d_e = _as_matrix(self.d_e, n_z, n_y, "D_e")
-        d_v = _as_matrix(self.d_v, n_z, n_v, "D_v")
-        for name, m in dict(a=a, b_e=b_e, b_v=b_v, c_z=c_z, d_e=d_e, d_v=d_v).items():
-            object.__setattr__(self, name, m)
+        plant, ctrl = self.plant, self.controller
+        if ctrl.n_u != plant.n_u or ctrl.n_y != plant.n_y:
+            raise DimensionMismatch(
+                f"controller is ({ctrl.n_u} by {ctrl.n_y}), "
+                f"plant needs ({plant.n_u} by {plant.n_y})"
+            )
+        b_p, c_p, d1f, n_y = plant.b, plant.c, ctrl.d1f, plant.n_y
+        # overflow shows as a non-finite matrix, named below
+        with np.errstate(over="ignore", invalid="ignore"):
+            derived = {
+                "A": np.block(
+                    [[plant.a + b_p @ d1f @ c_p, b_p @ ctrl.cf], [ctrl.b1f @ c_p, ctrl.af]]
+                ),
+                "B_e": np.vstack([b_p @ d1f + plant.k, ctrl.b1f]),
+                "B_v": np.vstack([b_p @ ctrl.d2f, ctrl.b2f]),
+                "C_z": np.block([[d1f @ c_p, ctrl.cf], [c_p, np.zeros((n_y, ctrl.n_s))]]),
+                "D_e": np.vstack([d1f, np.eye(n_y)]),
+                "D_v": np.vstack([ctrl.d2f, np.zeros((n_y, ctrl.n_v))]),
+            }
+        for name, m in derived.items():
+            object.__setattr__(self, name.lower(), _as_matrix(m, name=name))
+        _require_stable(self.a, Unstable, "closed-loop spectral radius is {:.12g}")
+        object.__setattr__(self, "xi", float(np.linalg.eigvalsh(self.gamma).min()))
+        if not self.xi > 1e-12:
+            raise DegenerateNoise(f"joint noise covariance has lambda_min {self.xi:.3e}")
 
     @property
     def n_u(self) -> int:
@@ -186,74 +211,27 @@ class ClosedLoop:
         out[n_y:, n_y:] = omega
         return out
 
-    @property
-    def xi(self) -> float:
-        """Smallest eigenvalue of the joint noise covariance."""
-        return float(np.linalg.eigvalsh(self.gamma).min())
-
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Simulated closed-loop signals, all of equal length."""
+    """Simulated closed-loop signals, all of equal length: the joint
+    signal z = (u, y), u columns first, and the noise (e, v) behind it."""
 
-    u: np.ndarray
-    y: np.ndarray
+    z: np.ndarray
+    n_u: int
     e: np.ndarray
     v: np.ndarray
 
     @property
-    def z(self) -> np.ndarray:
-        """Joint signal (u, y) with u columns first."""
-        return np.hstack([self.u, self.y])
+    def u(self) -> np.ndarray:
+        return self.z[:, : self.n_u]
+
+    @property
+    def y(self) -> np.ndarray:
+        return self.z[:, self.n_u :]
 
     def __len__(self) -> int:
-        return self.u.shape[0]
-
-
-def assemble_closed_loop(plant: InnovationModel, controller: Controller) -> ClosedLoop:
-    """Interconnect plant and controller; raises if the loop is invalid.
-
-    Raises Unstable when the loop spectral radius reaches 1 - STABILITY_MARGIN
-    and DegenerateNoise when blockdiag(Psi, D2F D2F^T) is numerically singular
-    (``ClosedLoop.xi`` at most 1e-12).
-    """
-    if controller.n_u != plant.n_u or controller.n_y != plant.n_y:
-        raise DimensionMismatch(
-            f"controller is ({controller.n_u} by {controller.n_y}), "
-            f"plant needs ({plant.n_u} by {plant.n_y})"
-        )
-    a_p, b_p, c_p, k_p = plant.a, plant.b, plant.c, plant.k
-    af, b1f, b2f, cf, d1f, d2f = (
-        controller.af,
-        controller.b1f,
-        controller.b2f,
-        controller.cf,
-        controller.d1f,
-        controller.d2f,
-    )
-    n_x, n_s = plant.n_x, controller.n_s
-    a = np.block(
-        [
-            [a_p + b_p @ d1f @ c_p, b_p @ cf],
-            [b1f @ c_p, af],
-        ]
-    )
-    b_e = np.vstack([b_p @ d1f + k_p, b1f])
-    b_v = np.vstack([b_p @ d2f, b2f])
-    c_z = np.block(
-        [
-            [d1f @ c_p, cf],
-            [c_p, np.zeros((plant.n_y, n_s))],
-        ]
-    )
-    d_e = np.vstack([d1f, np.eye(plant.n_y)])
-    d_v = np.vstack([d2f, np.zeros((plant.n_y, controller.n_v))])
-
-    _require_stable(a, Unstable, "closed-loop spectral radius is {:.12g}")
-    cl = ClosedLoop(plant, controller, a, b_e, b_v, c_z, d_e, d_v)
-    if not cl.xi > 1e-12:
-        raise DegenerateNoise(f"joint noise covariance has lambda_min {cl.xi:.3e}")
-    return cl
+        return self.z.shape[0]
 
 
 def noise_to_signal(cl: ClosedLoop) -> StateSpace:
@@ -409,20 +387,12 @@ def simulate_many(
         start += m
         going = [j for j, r in enumerate(active) if lengths[r] > start]
         active, w = [active[j] for j in going], states[m, going]
-    n_u = cl.n_u
     trajs = []
     for r in range(len(runs)):
         # drop each run's full arrays once its trimmed copies exist
         z, (e, v) = zs[r], noise[r]
         zs[r] = noise[r] = None
-        trajs.append(
-            Trajectory(
-                u=z[burn_in:, :n_u].copy(),
-                y=z[burn_in:, n_u:].copy(),
-                e=e[burn_in:].copy(),
-                v=v[burn_in:].copy(),
-            )
-        )
+        trajs.append(Trajectory(z[burn_in:].copy(), cl.n_u, e[burn_in:].copy(), v[burn_in:].copy()))
     return tuple(trajs)
 
 
@@ -505,7 +475,7 @@ def random_closed_loop(
                 d1f=np.zeros((n_u, n_y)),
                 d2f=d2f,
             )
-            cl = assemble_closed_loop(plant, controller)
+            cl = ClosedLoop(plant, controller)
             _require_stable(plant.a - plant.k @ plant.c)
         except (Unstable, DegenerateNoise, NotStabilizable, NotStable, np.linalg.LinAlgError):
             continue

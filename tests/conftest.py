@@ -3,10 +3,10 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from redar import (
+    ClosedLoop,
     Controller,
     Dims,
     InnovationModel,
-    assemble_closed_loop,
     random_closed_loop,
     simulate,
 )
@@ -53,7 +53,7 @@ def mild_loop():
     controller = Controller(
         af=[[0.0]], b1f=[[0.0]], b2f=[[0.0]], cf=[[0.0]], d1f=[[0.0]], d2f=[[1.0]]
     )
-    return assemble_closed_loop(plant, controller)
+    return ClosedLoop(plant, controller)
 
 
 @pytest.fixture(scope="session")
@@ -63,7 +63,7 @@ def static_loop():
     controller = Controller(
         af=[[0.0]], b1f=[[0.0]], b2f=[[0.0]], cf=[[0.0]], d1f=[[0.0]], d2f=[[1.0]]
     )
-    return assemble_closed_loop(plant, controller)
+    return ClosedLoop(plant, controller)
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import redar.bounds
 from redar import (
+    BoundCells,
     BoundInputs,
     Dims,
     InvalidT0,
@@ -534,6 +535,22 @@ class TestCellRule:
         assert cell.valid
         assert cell.expected == expected_error_bound(inputs, own, 1e12)
         assert cell.k == own.k
+
+
+    def test_least_ledger_is_built_once_per_inputs(self, monkeypatch):
+        # a sweep of sizes below t0* reuses the inputs' least ledger (one
+        # or two build_ledger calls), and every cell is the invalid cell
+        inputs = bound_inputs(seed_loop(ExperimentConfig(), 0), 4, 1.0, 0.05)
+        least, sizes = least_ledger(inputs), [2.0**k for k in range(8, 17)]
+        assert max(sizes) < least.t0
+        builds, build = [], redar.bounds.build_ledger
+        monkeypatch.setattr(redar.bounds, "build_ledger", lambda *a: builds.append(a) or build(*a))
+        cells = [bound_cells(inputs, 0.1, t) for t in sizes]
+        assert len(builds) <= 2
+        assert cells == [
+            BoundCells(False, None, None, least.k, model_error_detail(inputs, 0.1, t))
+            for t in sizes
+        ]
 
 
 class TestExpectedErrorBound:

@@ -17,6 +17,7 @@ import redar.kalman
 from redar import (
     REPORT_COLUMNS,
     ClosedLoop,
+    CovarianceFloorWarning,
     Dataset,
     Dims,
     GenerationFailed,
@@ -47,6 +48,73 @@ TINY_EXPERIMENT = [
 
 def run_cli(*argv) -> int:
     return main(list(argv))
+
+
+def run_in_process(argv) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of ``main(argv)``, with every warning
+    but CovarianceFloorWarning (which run_seed raises by design) raised as
+    an error; a usage error's SystemExit gives its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warnings.simplefilter("ignore", CovarianceFloorWarning)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_one_error_line(code, err):
+    """Exit 0 with a clean stderr, or exit 1 to 4 with one error line:
+    a redar: line, or argparse's usage and error lines."""
+    assert code in range(5)
+    lines = err.splitlines()
+    if code == 0:
+        assert err == ""
+    else:
+        assert [line.startswith("redar") for line in lines] == [False] * (len(lines) - 1) + [True]
+        assert lines[-1].startswith("redar: ") or (code == 4 and lines[0].startswith("usage: "))
+
+
+def sizes(low, high):
+    return st.integers(low, high).map(str)
+
+
+def size_lists(low, high, max_size):
+    """Up to ``max_size`` distinct sizes, comma-separated in increasing order."""
+    return st.lists(st.integers(low, high), min_size=1, max_size=max_size, unique=True).map(
+        lambda values: ",".join(map(str, sorted(values)))
+    )
+
+
+# each flag's valid and invalid values (capped so that a run takes well
+# under a second); the valid ones may still clash, as train_t < p does
+LOOP_SETTINGS = {
+    "p": (sizes(1, 8), st.sampled_from(["0", "-1", "x", "1.5", "nan"])),
+    "alpha": (
+        st.floats(1e-3, 1e3) | st.floats(1e-300, 1e300),
+        st.sampled_from([math.nan, math.inf, 0.0, -1.0, "x"]),
+    ),
+    "phi": (
+        st.floats(0.0, 10.0) | st.sampled_from([0.0, 1e-12, 1e300]),
+        st.sampled_from([math.nan, math.inf, -1.0]),
+    ),
+    "burn-in": (sizes(0, 10**4) | st.just("none"), st.sampled_from(["-1", "x", "1.5"])),
+}
+SIZE_FAULTS = st.sampled_from(["", "x", "1.5", "nan", "-3", "0"])
+
+
+@st.composite
+def flag_values(draw, flags):
+    """``--flag=value`` arguments: each flag absent or valid, and half the
+    time one flag set to one of its invalid values."""
+    values = {flag: draw(st.none() | valid) for flag, (valid, _) in flags.items()}
+    broken = draw(st.none() | st.sampled_from(sorted(flags)))
+    if broken is not None:
+        values[broken] = draw(flags[broken][1])
+    return [f"--{flag}={value}" for flag, value in values.items() if value is not None]
 
 
 @pytest.fixture()
@@ -279,6 +347,29 @@ class TestFit:
         assert err.count("\n") == 1 and "overflow" in err
         assert not out.exists()
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        flag_values(
+            {
+                **LOOP_SETTINGS,
+                "train-t": (sizes(1, 2048), SIZE_FAULTS),
+                "test-t": (sizes(1, 2048), SIZE_FAULTS),
+                "seed": (sizes(0, 2**64), st.sampled_from(["-1", "x", "1.5"])),
+            }
+        )
+    )
+    # phi = 0 keeps roundoff-level states that leave the reduced predictor unstable
+    @example(argv=["--alpha=0.5", "--phi=0.0", "--seed=1"])
+    def test_flag_values_end_with_an_exit_code(self, seed0_file, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            model = Path(tmp) / "m.txt"
+            code, out, err = run_in_process(
+                ["fit", f"--loop={seed0_file}", *argv, f"--out={model}"]
+            )
+            assert_one_error_line(code, err)
+            assert (code == 0) == model.exists()
+        assert code != 0 or "test mse = " in out
+
     def test_missing_data_file(self, tmp_path):
         code = run_cli(
             "fit", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "m.txt")
@@ -496,6 +587,46 @@ class TestExperiment:
         assert (out_dir / "ledger_seed0.txt").exists()
         assert (out_dir / "bound_seed0.csv").exists()
         assert (out_dir / "mse_seed0.csv").exists()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        flag_values(
+            {
+                **LOOP_SETTINGS,
+                "seeds": (size_lists(0, 10**6, 2), st.sampled_from(["", "x", "-1", "1,1"])),
+                **{
+                    dim: (sizes(1, 4), st.sampled_from(["0", "x"]))
+                    for dim in ("n-x", "n-u", "n-y")
+                },
+                "spectral-target": (
+                    st.floats(0.01, 0.99), st.sampled_from([math.nan, math.inf, 0.0, 1.0])
+                ),
+                "noise-floor": (
+                    st.floats(1e-6, 0.1) | st.just(1e100), st.sampled_from([math.nan, 0.0, -1.0])
+                ),
+                "t-sweep": (
+                    size_lists(1, 2048, 3), st.sampled_from(["", "x", "64,32", "0", "1.5"])
+                ),
+                "test-length": (sizes(1, 2048), SIZE_FAULTS),
+                "theta": (st.floats(0.01, 0.99), st.sampled_from([math.nan, 0.0, 1.0, 1.5])),
+                "rho-grid": (sizes(8, 64), st.sampled_from(["7", "-1", "x"])),
+            }
+        )
+    )
+    @example(argv=["--phi=0.0", "--seeds=0", "--t-sweep=256,2048", "--test-length=2048"])
+    def test_flag_values_end_with_an_exit_code(self, argv):
+        # the defaults (five seeds, a sweep up to 16,384, 10,000 test
+        # samples) would take seconds a case
+        given = {arg.split("=")[0] for arg in argv}
+        defaults = ["--t-sweep=64,256", "--test-length=512", "--seeds=0"]
+        argv = argv + [arg for arg in defaults if arg.split("=")[0] not in given]
+        with tempfile.TemporaryDirectory() as tmp:
+            out_dir = Path(tmp) / "results"
+            code, _, err = run_in_process(
+                ["experiment", *argv, f"--output-dir={out_dir}", "--quiet"]
+            )
+            assert_one_error_line(code, err)
+            assert (code == 4) != (out_dir / "report.csv").exists()
 
     def test_flags_override_config_file(self, tmp_path):
         config = tmp_path / "run.cfg"
@@ -764,6 +895,28 @@ class TestInputFiles:
         assert run_cli("fit", source, str(path), "--out", str(tmp_path / "m.txt")) == 4
         err = capsys.readouterr().err
         assert err.startswith(f"redar: line {line}: ") and err.count("\n") == 1
+
+    # well formed, but a loop matrix derived from the plant and controller
+    # overflows: in A (and B_e, C_z), or in C_z alone while A stays stable
+    @pytest.mark.parametrize(
+        "entries, name",
+        [
+            ({"b": 1e200, "d1f": 1e200}, "A"),
+            ({"b": 0.0, "b1f": 0.0, "c": 1e200, "d1f": 1e200}, "C_z"),
+        ],
+    )
+    def test_loop_file_whose_loop_overflows_exits_4(self, seed0_file, tmp_path, entries, name):
+        lines = seed0_file.read_text().split("\n")
+        for i, line in enumerate(lines):
+            words = line.split()
+            if words[:1] == ["matrix"] and words[1] in entries:
+                rows, cols = int(words[2]), int(words[3])
+                lines[i + 1 : i + 1 + rows] = [" ".join([repr(entries[words[1]])] * cols)] * rows
+        path = tmp_path / "loop.txt"
+        path.write_text("\n".join(lines))
+        code, _, err = run_in_process(["fit", f"--loop={path}", f"--out={tmp_path / 'm.txt'}"])
+        assert code == 4
+        assert err == f"redar: line 2: closed-loop model: {name} contains non-finite entries\n"
 
     def test_unstable_loop_file_exits_1_at_assembly(self, tmp_path, mild_loop, capsys):
         # well formed, but the loop's spectral radius is within the

@@ -7,6 +7,7 @@ from redar import (
     Dataset,
     DimensionMismatch,
     IdentifiedModel,
+    NumericalError,
     PredictorRealization,
     StateSpace,
     VarxModel,
@@ -21,6 +22,7 @@ from redar import (
     run_predictor,
     simulate,
 )
+from redar.experiments import ExperimentConfig, seed_loop
 from redar.realization import predictor_from_coefficients
 
 from .oracles import grid_gain, impulse_blocks, predictor_loop
@@ -153,6 +155,15 @@ class TestFitRedarStages:
         assert fit.certified_error == certified
         assert (fit.full.kind, fit.reduced.kind) == ("full", "reduced")
         assert order is None or fit.reduced.order == order
+
+    def test_unstable_reduction_raises(self):
+        # at phi = 0 every state of the 16-state delay line is kept, though
+        # its Hankel rank is 8; balancing by the other, roundoff-level
+        # singular values leaves this reduced predictor unstable
+        traj = simulate(seed_loop(ExperimentConfig(), 0), 4100, seed=np.random.SeedSequence([1, 1]))
+        ds = Dataset.from_signals(traj.u, traj.y, p=4)
+        with pytest.raises(NumericalError, match="order 16 at phi = 0.0 has spectral radius"):
+            fit_redar(ds, 0.5, 0.0)
 
 
 class TestExtraction:

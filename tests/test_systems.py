@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from redar import (
+    ClosedLoop,
     Controller,
     DegenerateNoise,
     DimensionMismatch,
@@ -15,7 +17,6 @@ from redar import (
     NotStable,
     PredictorUnstable,
     Unstable,
-    assemble_closed_loop,
     autocovariance,
     bound_inputs,
     noise_to_signal,
@@ -27,7 +28,7 @@ from redar import (
     steady_state_predictor,
 )
 from redar import systems
-from redar.linalg import STABILITY_MARGIN, _require_stable
+from redar.linalg import STABILITY_MARGIN, StateSpace, _require_stable
 from redar.systems import _each, default_burn_in
 
 from .oracles import simulate_loop_direct, simulate_per_sample
@@ -136,23 +137,15 @@ class TestContainers:
             with pytest.raises(ValueError):
                 getattr(cl, name)[0, 0] += 1.0
 
-    @pytest.mark.parametrize(
-        "overrides, error",
-        [
-            ({"a": np.zeros((2, 3))}, DimensionMismatch),
-            ({"b_e": np.zeros((2, 2))}, DimensionMismatch),
-            ({"b_v": np.zeros((3, 1))}, DimensionMismatch),
-            ({"c_z": np.zeros((2, 3))}, DimensionMismatch),
-            ({"d_e": np.zeros((1, 1))}, DimensionMismatch),
-            ({"d_v": np.zeros((2, 2))}, DimensionMismatch),
-            ({"c_z": np.full((2, 2), np.nan)}, ValueError),
-        ],
-    )
-    def test_closed_loop_matrix_checks(self, mild_loop, overrides, error):
-        # 2 states (1 plant, 1 controller), n_z = 2 and n_y = n_v = 1
-        assert (mild_loop.n_states, mild_loop.n_z) == (2, 2)
-        with pytest.raises(error):
-            dataclasses.replace(mild_loop, **overrides)
+    def test_closed_loop_matrices_cannot_be_set(self, mild_loop):
+        # the loop matrices are derived from the plant and controller only
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(mild_loop, a=np.zeros((2, 2)))
+        with pytest.raises(TypeError):
+            ClosedLoop(mild_loop.plant, mild_loop.controller, a=np.zeros((2, 2)))
+        rebuilt = dataclasses.replace(mild_loop)
+        for name in ("a", "b_e", "b_v", "c_z", "d_e", "d_v", "xi"):
+            assert np.array_equal(getattr(rebuilt, name), getattr(mild_loop, name))
 
     def test_dims_validation(self):
         with pytest.raises(ValueError):
@@ -163,19 +156,39 @@ class TestAssemble:
     def test_rejects_mismatched_controller(self):
         plant = InnovationModel(a=[[0.5]], b=[[1.0]], c=[[1.0]], k=[[0.1]], psi=[[1.0]])
         with pytest.raises(DimensionMismatch):
-            assemble_closed_loop(plant, unit_feedthrough_controller(2, 1))
+            ClosedLoop(plant, unit_feedthrough_controller(2, 1))
 
     def test_rejects_unstable_loop(self):
         plant = InnovationModel(a=[[1.2]], b=[[0.0]], c=[[1.0]], k=[[0.0]], psi=[[1.0]])
         with pytest.raises(Unstable):
-            assemble_closed_loop(plant, unit_feedthrough_controller(1, 1))
+            ClosedLoop(plant, unit_feedthrough_controller(1, 1))
 
     def test_rejects_loop_within_the_stability_margin(self):
         # rho = 1 - 5e-10 is within linalg.STABILITY_MARGIN of 1: rejected
         # here, not later inside a Lyapunov solve
         plant = InnovationModel(a=[[1 - 5e-10]], b=[[0.0]], c=[[1.0]], k=[[0.0]], psi=[[1.0]])
         with pytest.raises(Unstable, match="0.9999999995"):
-            assemble_closed_loop(plant, unit_feedthrough_controller(1, 1))
+            ClosedLoop(plant, unit_feedthrough_controller(1, 1))
+
+    @pytest.mark.parametrize(
+        "plant_a, plant_b, plant_c, d1f, name",
+        [
+            (0.5, 1e200, 1.0, 1e200, "A"),  # b D1F c overflows in A, B_e and C_z
+            (0.5, 0.0, 1e200, 1e200, "C_z"),  # A is finite and stable
+            (1.2, 0.0, 1e200, 1e200, "C_z"),  # and unstable: finiteness is checked first
+        ],
+    )
+    def test_rejects_non_finite_derived_matrix(self, plant_a, plant_b, plant_c, d1f, name):
+        plant = InnovationModel(
+            a=[[plant_a]], b=[[plant_b]], c=[[plant_c]], k=[[0.0]], psi=[[1.0]]
+        )
+        controller = Controller(
+            af=[[0.0]], b1f=[[0.0]], b2f=[[0.0]], cf=[[0.0]], d1f=[[d1f]], d2f=[[1.0]]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
+                ClosedLoop(plant, controller)
 
     def test_rejects_degenerate_excitation(self):
         plant = InnovationModel(a=[[0.5]], b=[[0.1]], c=[[1.0]], k=[[0.1]], psi=[[1.0]])
@@ -183,16 +196,16 @@ class TestAssemble:
             af=[[0.0]], b1f=[[0.0]], b2f=[[0.0]], cf=[[0.0]], d1f=[[0.0]], d2f=[[0.0]]
         )
         with pytest.raises(DegenerateNoise):
-            assemble_closed_loop(plant, controller)
+            ClosedLoop(plant, controller)
 
     @pytest.mark.parametrize("psi, degenerate", [(1e-13, True), (1e-11, False)])
     def test_degenerate_gate_reads_xi(self, psi, degenerate):
         plant = InnovationModel(a=[[0.5]], b=[[0.1]], c=[[1.0]], k=[[0.1]], psi=[[psi]])
         if degenerate:
             with pytest.raises(DegenerateNoise):
-                assemble_closed_loop(plant, unit_feedthrough_controller(1, 1))
+                ClosedLoop(plant, unit_feedthrough_controller(1, 1))
         else:
-            assert assemble_closed_loop(plant, unit_feedthrough_controller(1, 1)).xi == psi
+            assert ClosedLoop(plant, unit_feedthrough_controller(1, 1)).xi == psi
 
     def test_gamma_block_structure(self, dynamic_loop):
         cl = dynamic_loop
@@ -323,11 +336,11 @@ class TestStationaryLaw:
         assert inputs.z_power**2 == pytest.approx(2.0)
         assert inputs.e_power_sq == pytest.approx(1.0)
 
-    def test_autocovariance_rejects_unstable_loop(self, mild_loop):
+    def test_output_covariance_rejects_unstable_system(self):
         # the stability check before the stationary Lyapunov solve
-        unstable = dataclasses.replace(mild_loop, a=np.eye(mild_loop.n_states))
+        unstable = StateSpace(np.eye(2), np.ones((2, 1)), np.ones((1, 2)), np.zeros((1, 1)))
         with pytest.raises(NotStable):
-            autocovariance(unstable, 0)
+            systems._output_covariance(unstable)
 
 
 class TestGenerators:
@@ -397,9 +410,9 @@ class TestStabilityMargin:
         assert not accepted or np.abs(poles).max() == radius
 
     @pytest.mark.parametrize("radius, accepted", CASES)
-    def test_assemble_closed_loop(self, radius, accepted):
+    def test_closed_loop(self, radius, accepted):
         shell = unit_feedthrough_controller(1, 1)
-        cl = self.outcome(accepted, Unstable, assemble_closed_loop, self.plant(radius), shell)
+        cl = self.outcome(accepted, Unstable, ClosedLoop, self.plant(radius), shell)
         assert not accepted or spectral_radius(cl.a) == radius
 
     @pytest.mark.parametrize("radius, accepted", CASES)
