@@ -5,8 +5,9 @@
 
 Runs a fixed list of ``redar`` commands (generate, experiment, bound and
 fit, on seeds 0 and 3, one bound whose cells are all valid, one whose
-cells straddle the threshold t0*, one fit at lag order 16 and one
-generate that fails) against the ``src`` tree
+cells straddle the threshold t0*, one fit at lag order 16, one
+generate that fails, and a 20,000-sample dataset written and fitted)
+against the ``src`` tree
 of the checkout this script sits in, one after another, with OUT_DIR as
 the working directory, so every file a command writes lands in OUT_DIR.
 Command ``NN-name`` also leaves ``NN-name.cmd`` (its arguments),
@@ -72,6 +73,11 @@ def commands() -> list[tuple[str, list[str]]]:
         # no loop clears the noise floor: exit 3 and one stderr line
         ("generate-fail", ["generate", "--seeds", "1", "--noise-floor", "1e100",
                            "--out-dir", "loops-fail"]),
+        # a dataset of many 1,024-row blocks, written and read back
+        ("generate-long", ["generate", "--seeds", "0", "--data", "--samples", "20000",
+                           "--out-dir", "loops-long"]),
+        ("fit-data-long", ["fit", "--data", "loops-long/loop_data_seed0.csv",
+                           "--out", "fit_data_long.txt"]),
     ]
 
 

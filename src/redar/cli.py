@@ -133,7 +133,7 @@ def _cmd_generate(args) -> int:
                 cl, args.samples, burn_in=config.burn_in, seed=np.random.SeedSequence([seed, 1])
             )
             data_path = out_dir / f"{args.prefix}_data_seed{seed}.csv"
-            save_dataset_csv(data_path, Dataset.from_signals(traj.u, traj.y, p=1))
+            save_dataset_csv(data_path, Dataset(traj.z, 1, cl.n_u, cl.n_y))
             print(f"wrote {args.samples} samples to {data_path}")
     return 0
 
@@ -167,7 +167,7 @@ def _cmd_fit(args) -> int:
             ],
             burn_in=config.burn_in,
         )
-        ds = Dataset.from_signals(train.u, train.y, p=p)
+        ds = Dataset(train.z, p, model.n_u, model.n_y)
     fit = fit_redar(ds, config.alpha, config.phi)
     save_model(args.out, fit.model)
     yhat = predict_with_model(fit.model, ds.u, ds.y)

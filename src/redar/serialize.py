@@ -6,7 +6,8 @@ whitespace-separated row per line.  Floats are written with ``repr`` so a
 save/load/save cycle is byte-identical.  Closed loops nest their plant
 and controller in ``begin``/``end`` sections.
 
-Datasets travel as CSV with channel headers u1..u_{n_u}, y1..y_{n_y}.
+Datasets travel as CSV with channel headers u1..u_{n_u}, y1..y_{n_y},
+one sample per row; their floats are also written with ``repr``.
 Configuration files are flat ``key = value`` lines with ``#`` comments.
 """
 
@@ -221,16 +222,31 @@ def _csv_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+_CSV_ROWS = 1024  # dataset rows rendered per write
+
+
 def save_dataset_csv(path, ds: Dataset) -> None:
-    """Write the joint signal as CSV with u/y channel headers."""
+    """Write the joint signal as CSV with u/y channel headers.
+
+    Each cell is ``repr`` of its float.  Rows are rendered and written
+    ``_CSV_ROWS`` at a time, from one ``tolist()`` of the block.
+    """
     header = [f"u{i + 1}" for i in range(ds.n_u)] + [f"y{i + 1}" for i in range(ds.n_y)]
-    Path(path).write_text(_csv_text(header, (map(repr, row.tolist()) for row in ds.z)))
+    with Path(path).open("w") as f:
+        f.write(",".join(header) + "\n")
+        for start in range(0, ds.z.shape[0], _CSV_ROWS):
+            columns = ds.z[start : start + _CSV_ROWS].T.tolist()
+            rows = zip(*[map(repr, column) for column in columns])
+            f.write("\n".join(map(",".join, rows)) + "\n")
 
 
 def load_dataset_csv(path, p: int) -> Dataset:
     """Read a channel CSV back into a Dataset with lag order p.
 
-    Blank lines are skipped; schema errors name the line of the file.
+    Blank lines are skipped; schema errors name the line of the file.  A
+    cell holds one finite decimal number in ASCII, with optional
+    whitespace (``str.isspace``) around it.  Underscores and non-ASCII
+    digits, which ``float()`` would take, make a non-numeric value.
     """
     lines = Path(path).read_text().split("\n")
     nonblank = [i for i, ln in enumerate(lines, start=1) if ln.strip()]  # line numbers
@@ -245,19 +261,41 @@ def load_dataset_csv(path, p: int) -> Dataset:
         n_y += 1
     if n_u == 0 or n_y == 0 or n_u + n_y != len(header):
         raise SchemaError(f"header must be u1..u_nu,y1..y_ny, got {header}", line=nonblank[0])
-    z = np.zeros((len(nonblank) - 1, n_u + n_y))
-    for row, i in enumerate(nonblank[1:]):
-        tokens = lines[i - 1].split(",")
-        if len(tokens) != n_u + n_y:
-            raise SchemaError(f"expected {n_u + n_y} columns, got {len(tokens)}", line=i)
-        try:
-            z[row] = [float(t) for t in tokens]
-        except ValueError:
-            raise SchemaError("non-numeric value", line=i) from None
+    rows = nonblank[1:]
+    if rows:
+        z = _parse_cells([lines[i - 1] for i in rows], rows, n_u + n_y)
+    else:
+        z = np.zeros((0, n_u + n_y))  # Dataset names the missing samples
     finite = np.isfinite(z).all(axis=1)
     if not finite.all():
-        raise SchemaError("non-finite value", line=nonblank[1 + int(np.argmin(finite))])
+        raise SchemaError("non-finite value", line=rows[int(np.argmin(finite))])
     return Dataset(z=z, p=p, n_u=n_u, n_y=n_y)
+
+
+def _parse_cells(body: list[str], numbers: list[int], n: int) -> np.ndarray:
+    """The ``(len(body), n)`` floats of the CSV lines ``body``, which are
+    lines ``numbers`` of the file.
+
+    A cell is numeric when ``np.loadtxt`` reads it.  One ``loadtxt``
+    call parses every line at C speed.  Only when that fails does a pass
+    over the lines run, to name the first that is ragged or holds a cell
+    that is not numeric.
+    """
+    try:
+        z = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+        if z.shape[1] == n:
+            return z
+    except ValueError:
+        pass
+    for i, line in zip(numbers, body):
+        cells = line.count(",") + 1
+        if cells != n:
+            raise SchemaError(f"expected {n} columns, got {cells}", line=i)
+        try:
+            np.loadtxt([line], delimiter=",", comments=None)
+        except ValueError:
+            raise SchemaError("non-numeric value", line=i) from None
+    raise AssertionError("the lines parse one by one but not together")
 
 
 def parse_config(text: str) -> dict[str, str]:

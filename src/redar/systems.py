@@ -319,7 +319,7 @@ def simulate_many(
     B_e e[t] and B_v v[t] of all k runs are formed before it, and
     z = C_z w + D_e e + D_v v after it, each as one stacked product
     (`_each`).  Each step writes into
-    preallocated rows: with one run, ``np.dot(A, w, out=...)``; with k
+    preallocated rows: with one run, ``A.dot(w, out=...)``; with k
     runs, one stacked matmul of A against the k states.  numpy
     evaluates a stacked matrix-vector product as one gemv per row, the
     same call that ``M @ x[t]`` and ``np.dot(A, w)`` make, and the two
@@ -350,7 +350,7 @@ def simulate_many(
         noise.append((e, rng.standard_normal((n, cl.controller.n_v))))
     zs = [np.empty((n, cl.n_z)) for n in lengths]
 
-    a, add = cl.a, np.add
+    a = cl.a
     n_w = cl.n_states
     active = list(range(len(runs)))
     w = np.zeros((len(active), n_w))
@@ -370,13 +370,18 @@ def simulate_many(
         states = np.empty((m + 1, k, n_w))
         states[0] = w
         if k == 1:
-            rows, be, bv, product = states[:, 0], be[:, 0], bv[:, 0], np.dot
+            rows, be, bv = states[:, 0], be[:, 0], bv[:, 0]
+            dot = a.dot
+            for cur, nxt, b1, b2 in zip(rows, rows[1:], be, bv):
+                dot(cur, out=nxt)
+                nxt += b1
+                nxt += b2
         else:
-            rows, be, bv, product = states[..., None], be[..., None], bv[..., None], np.matmul
-        for cur, nxt, b1, b2 in zip(rows, rows[1:], be, bv):
-            product(a, cur, out=nxt)
-            add(nxt, b1, out=nxt)
-            add(nxt, b2, out=nxt)
+            rows, be, bv = states[..., None], be[..., None], bv[..., None]
+            for cur, nxt, b1, b2 in zip(rows, rows[1:], be, bv):
+                np.matmul(a, cur, out=nxt)
+                nxt += b1
+                nxt += b2
         z_b = (
             _each(cl.c_z, states[:m].reshape(m * k, n_w))
             + _each(cl.d_e, e_b)

@@ -10,9 +10,19 @@ they drive.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
-from redar import StateSpace, build_ledger, expected_error_bound, hard_floor, hinf_norm
+from redar import (
+    Dataset,
+    SchemaError,
+    StateSpace,
+    build_ledger,
+    expected_error_bound,
+    hard_floor,
+    hinf_norm,
+)
 
 
 def lyapunov_series(a, w, max_terms=100_000, tol=1e-14):
@@ -219,6 +229,48 @@ def build_regressors_per_lag(ds):
     for lag in range(1, p + 1):
         d[:, (lag - 1) * n_z : lag * n_z] = z[p - lag : p - lag + t]
     return d, z[p:, ds.n_u :].copy()
+
+
+def save_dataset_csv_per_row(path, ds):
+    """Dataset CSV rendered one row at a time: the header, then ``repr``
+    of each cell, comma-separated, one row per line."""
+    header = [f"u{i + 1}" for i in range(ds.n_u)] + [f"y{i + 1}" for i in range(ds.n_y)]
+    lines = [",".join(header)]
+    lines.extend(",".join(map(repr, row.tolist())) for row in ds.z)
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def load_dataset_csv_per_line(path, p):
+    """Dataset CSV read one line and one ``float()`` cell at a time.
+
+    Blank lines are skipped; schema errors name the line of the file.
+    """
+    lines = Path(path).read_text().split("\n")
+    nonblank = [i for i, ln in enumerate(lines, start=1) if ln.strip()]
+    if not nonblank:
+        raise SchemaError("empty dataset file", line=1)
+    header = [h.strip() for h in lines[nonblank[0] - 1].split(",")]
+    n_u = 0
+    while n_u < len(header) and header[n_u] == f"u{n_u + 1}":
+        n_u += 1
+    n_y = 0
+    while n_u + n_y < len(header) and header[n_u + n_y] == f"y{n_y + 1}":
+        n_y += 1
+    if n_u == 0 or n_y == 0 or n_u + n_y != len(header):
+        raise SchemaError(f"header must be u1..u_nu,y1..y_ny, got {header}", line=nonblank[0])
+    z = np.zeros((len(nonblank) - 1, n_u + n_y))
+    for row, i in enumerate(nonblank[1:]):
+        tokens = lines[i - 1].split(",")
+        if len(tokens) != n_u + n_y:
+            raise SchemaError(f"expected {n_u + n_y} columns, got {len(tokens)}", line=i)
+        try:
+            z[row] = [float(t) for t in tokens]
+        except ValueError:
+            raise SchemaError("non-numeric value", line=i) from None
+    finite = np.isfinite(z).all(axis=1)
+    if not finite.all():
+        raise SchemaError("non-finite value", line=nonblank[1 + int(np.argmin(finite))])
+    return Dataset(z=z, p=p, n_u=n_u, n_y=n_y)
 
 
 def empirical_moments_direct(z, p, n_u):

@@ -1,5 +1,12 @@
+import tempfile
+import warnings
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from redar import (
     ClosedLoop,
@@ -7,6 +14,7 @@ from redar import (
     Dataset,
     IdentifiedModel,
     InnovationModel,
+    InsufficientData,
     SchemaError,
     load_config,
     load_dataset_csv,
@@ -16,6 +24,8 @@ from redar import (
     save_model,
 )
 from redar.serialize import dumps_model, loads_model
+
+from . import oracles
 
 AWKWARD = (0.1, -0.0, 1e-308, 9.87e307, -3.141592653589793, 1.0000000000000002)
 
@@ -222,6 +232,13 @@ class TestDatasetCsv:
             load_dataset_csv(path, p=1)
         assert exc.value.line == 3 and "columns" in str(exc.value)
 
+    def test_rejects_rows_wider_than_header(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("u1,y1\n0.0,0.0,0.0\n0.0,0.0,0.0\n")
+        with pytest.raises(SchemaError) as exc:
+            load_dataset_csv(path, p=1)
+        assert exc.value.line == 2 and "expected 2 columns, got 3" in str(exc.value)
+
     def test_rejects_non_numeric_cell(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("u1,y1\n0.0,oops\n")
@@ -241,6 +258,157 @@ class TestDatasetCsv:
         path.write_text("\n\n")
         with pytest.raises(SchemaError):
             load_dataset_csv(path, p=1)
+
+
+# floats whose repr takes every form: signed zeros, subnormals, the
+# extremes, and exponents on both sides
+CSV_VALUES = (
+    0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-05, 1.5e-07, 0.1,
+    -3.141592653589793, 1e16, 1.2345678901234568e20, 1e300, -1e300, 1.7976931348623157e308,
+)
+# other spellings of finite floats that both readers take
+CSV_SPELLINGS = (
+    "1E5", "+.5", "5.", "-0", "1e-400", "00012.5000", "-1.7976931348623157e308",
+    "4.9406564584124654e-324", "0." + "0" * 300 + "1", "1234567890123456789012345",
+)
+CSV_PADS = ("", " ", "\t", "  \t ")
+# at, before and after the writer's block of 1,024 rows, and into a third block
+CSV_ROWS = (0, 1, 1023, 1024, 1025, 2049)
+
+
+@st.composite
+def csv_signals(draw, rows):
+    """A stand-in dataset (``z``, ``n_u``, ``n_y``) of ``rows`` samples,
+    its cells drawn from a small pool of finite floats."""
+    n_u, n_y = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    pool = draw(
+        st.lists(
+            st.sampled_from(CSV_VALUES) | st.floats(allow_nan=False, allow_infinity=False),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return SimpleNamespace(z=rng.choice(np.array(pool), size=(rows, n_u + n_y)), n_u=n_u, n_y=n_y)
+
+
+@st.composite
+def messy_csv_lines(draw, rows):
+    """Lines of a valid dataset file: cells in assorted spellings with
+    whitespace around them, and blank lines anywhere after the header."""
+    sig = draw(csv_signals(draw(rows)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = sig.n_u + sig.n_y
+    header = [f"u{i + 1}" for i in range(sig.n_u)] + [f"y{i + 1}" for i in range(sig.n_y)]
+    lines = [",".join(header)]
+    for row in sig.z.tolist():
+        cells = [
+            CSV_SPELLINGS[rng.integers(len(CSV_SPELLINGS))] if rng.random() < 0.1 else repr(v)
+            for v in row
+        ]
+        pads = rng.choice(CSV_PADS, size=(n, 2))
+        lines.append(",".join(a + c + b for c, (a, b) in zip(cells, pads)))
+        if rng.random() < 0.05:
+            lines.append(str(rng.choice(CSV_PADS)))
+    return lines
+
+
+def write_lines(path, lines, newline):
+    Path(path).write_bytes((newline.join(lines) + newline).encode())
+
+
+def load_both(path, p=1):
+    """What each reader makes of the file, the package's first and then
+    the per-line oracle's: a dataset, or a schema error as (message, line)."""
+    out = []
+    for load in (load_dataset_csv, oracles.load_dataset_csv_per_line):
+        try:
+            out.append(load(path, p))
+        except SchemaError as exc:
+            out.append((str(exc), exc.line))
+    return out
+
+
+class TestDatasetCsvAgainstOracles:
+    @pytest.mark.parametrize("rows", CSV_ROWS)
+    @given(data=st.data())
+    def test_writer_bytes_match_per_row_writer(self, rows, data):
+        sig = data.draw(csv_signals(rows))
+        with tempfile.TemporaryDirectory() as tmp:
+            new, old = Path(tmp, "new.csv"), Path(tmp, "old.csv")
+            save_dataset_csv(new, sig)
+            oracles.save_dataset_csv_per_row(old, sig)
+            assert new.read_bytes() == old.read_bytes()
+
+    @given(messy_csv_lines(st.sampled_from((2, 3, 1025))), st.sampled_from(("\n", "\r\n")))
+    def test_reader_values_match_per_line_reader(self, lines, newline):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "data.csv")
+            write_lines(path, lines, newline)
+            new, old = load_both(path)
+        assert (new.n_u, new.n_y) == (old.n_u, old.n_y)
+        assert new.z.tobytes() == old.z.tobytes()
+
+    @given(
+        messy_csv_lines(st.sampled_from((2, 40))),
+        st.lists(
+            st.tuples(
+                st.integers(1, 10**6),
+                st.sampled_from(("drop", "extra", "oops", "", "1..2", "0x10", "1e", "--1",
+                                 "1 2", "inf", "-Infinity", "nan", "1e400")),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_malformed_file_fails_like_per_line_reader(self, lines, faults):
+        body = [i for i, ln in enumerate(lines) if ln.strip() and i > 0]
+        for where, fault in faults:
+            i = body[where % len(body)]
+            cells = lines[i].split(",")
+            if fault == "drop":
+                cells.pop()
+            elif fault == "extra":
+                cells.append("0.5")
+            else:
+                cells[where % len(cells)] = fault
+            lines[i] = ",".join(cells)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "data.csv")
+            write_lines(path, lines, "\n")
+            new, old = load_both(path)
+        assert isinstance(old, tuple), "the faults leave a malformed file"
+        assert new == old
+
+    @pytest.mark.parametrize("text", ["u1,y1\n", "u1,u2,y1\n\n  \n"])
+    def test_header_only_file(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        with pytest.raises(InsufficientData) as old:
+            oracles.load_dataset_csv_per_line(path, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InsufficientData) as new:
+                load_dataset_csv(path, 1)
+        assert str(new.value) == str(old.value)
+
+    @pytest.mark.parametrize("token", ["1_0", "1_000.5", "\u0661", "\u0661.5"])
+    def test_digit_forms_only_python_reads_are_non_numeric(self, tmp_path, token):
+        # float() takes underscores and non-ASCII digits; a cell does not
+        float(token)
+        path = tmp_path / "data.csv"
+        path.write_text(f"u1,y1\n0.5,0.5\n\n0.5,{token}\n")
+        with pytest.raises(SchemaError) as exc:
+            load_dataset_csv(path, p=1)
+        assert exc.value.line == 4 and "non-numeric value" in str(exc.value)
+
+    @pytest.mark.parametrize("pad", ["\x1c", "\x1f", "\x85", "\u2003"])
+    def test_whitespace_around_a_cell_is_what_isspace_counts(self, tmp_path, pad):
+        # the header's cells are stripped by the same rule
+        assert pad.isspace()
+        path = tmp_path / "data.csv"
+        path.write_text(f"u1,{pad}y1\n{pad}0.5{pad},1.5\n0.25,1.5\n")
+        assert load_dataset_csv(path, p=1).z.tolist() == [[0.5, 1.5], [0.25, 1.5]]
 
 
 class TestConfigParsing:
