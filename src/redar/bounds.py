@@ -33,9 +33,9 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import InvalidT0, NumericalError, RhoTooSmall, TBelowT0
-from .kalman import steady_state_predictor
+from .kalman import LoopAnalysis
 from .linalg import StateSpace, _peak_gain, _start_angles, frequency_response, hinf_norm
-from .systems import ClosedLoop, _output_covariance, noise_to_signal
+from .systems import ClosedLoop
 
 __all__ = [
     "BoundInputs",
@@ -105,8 +105,8 @@ class BoundInputs:
 
     @cached_property
     def _least_ledger(self) -> ConstantLedger:
-        # least_ledger(self), built once per instance (the fields are frozen)
-        return least_ledger(self)
+        # built once per instance (the fields are frozen); see least_ledger
+        return _build_least_ledger(self)
 
 
 def gain_envelope(h_star: StateSpace, rho: float) -> float:
@@ -389,8 +389,12 @@ def least_ledger(inputs: BoundInputs) -> ConstantLedger:
     as c grows, so k is also the smallest at that t0, the threshold t0*.
 
     Raises NumericalError when a ledger constant leaves the floating-point
-    range, as extreme alpha, xi or j_norm make it.
+    range, as extreme alpha, xi or j_norm make it.  Built once per inputs.
     """
+    return inputs._least_ledger
+
+
+def _build_least_ledger(inputs: BoundInputs) -> ConstantLedger:
     try:
         _, _, c2, c3, _ = _moment_constants(inputs)
         a = 2.0 * c2 * inputs.j_norm**2 * inputs.alpha / inputs.xi**2
@@ -517,7 +521,7 @@ def bound_cells(inputs: BoundInputs, theta: float, t: float) -> BoundCells:
 
 
 def bound_inputs(
-    cl: ClosedLoop,
+    loop: LoopAnalysis | ClosedLoop,
     p: int,
     alpha: float,
     phi: float,
@@ -525,24 +529,22 @@ def bound_inputs(
     envelope_grid: int | None = None,
     hinf_grid: int | None = None,
 ) -> BoundInputs:
-    """Assemble bound inputs from a closed loop.
-
-    Computes the steady-state predictor envelope at the radius chosen by
-    ``optimize_envelope``, stationary signal powers, the noise map
-    H-infinity norm and the noise floor xi.  ``envelope_grid`` and
-    ``hinf_grid`` are deprecated: accepted for existing callers, they
-    change no value or cost.
+    """Assemble bound inputs from a closed loop's stationary analysis (a
+    bare ``ClosedLoop`` gets its own): ``optimize_envelope`` runs on the
+    steady-state predictor at lag p; the signal powers, the noise map
+    H-infinity norm and xi are read off the analysis, which derives each
+    once for every lag it serves.  ``envelope_grid`` and ``hinf_grid`` are
+    deprecated: accepted for existing callers, they change no value or cost.
     """
-    rho, level = optimize_envelope(steady_state_predictor(cl.plant), p, n_rho=n_rho)
-    j = noise_to_signal(cl)
-    z_power_sq = float(np.trace(_output_covariance(j)[1]))
-    j_norm = hinf_norm(j)
+    analysis = loop if isinstance(loop, LoopAnalysis) else LoopAnalysis(loop)
+    rho, level = optimize_envelope(analysis.h_star, p, n_rho=n_rho)
+    cl = analysis.loop
     return BoundInputs(
         level=level,
         rho=rho,
-        z_power=math.sqrt(z_power_sq),
+        z_power=math.sqrt(float(np.trace(analysis.r0))),
         e_power_sq=float(np.trace(cl.plant.psi)),
-        j_norm=j_norm,
+        j_norm=analysis.j_norm,
         xi=cl.xi,
         p=p,
         n_u=cl.n_u,

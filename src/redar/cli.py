@@ -34,6 +34,7 @@ from .experiments import (
     seed_loop,
     write_outputs,
 )
+from .kalman import LoopAnalysis
 from .linalg import spectral_radius
 from .realization import fit_redar, predict_with_model, prediction_mse
 from .serialize import (
@@ -193,7 +194,8 @@ def _cmd_bound(args) -> int:
     model = load_model(args.loop)
     if not isinstance(model, ClosedLoop):
         raise SchemaError(f"{args.loop} does not hold a closed-loop model")
-    inputs = bound_inputs(model, config.p, config.alpha, config.phi, n_rho=config.rho_grid)
+    analysis = LoopAnalysis(model)
+    inputs = bound_inputs(analysis, config.p, config.alpha, config.phi, n_rho=config.rho_grid)
     ledger = least_ledger(inputs)
     rows = []
     for t in ts:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .bounds import ConstantLedger, bound_cells, bound_inputs, format_ledger, least_ledger
 from .errors import RedarError, SchemaError
-from .kalman import finite_horizon_predictor
+from .kalman import LoopAnalysis, finite_horizon_predictor
 from .linalg import hinf_norm, parallel_difference
 from .realization import fit_redar, observer_form, prediction_mse, run_predictor
 from .serialize import _csv_text
@@ -233,10 +233,11 @@ def run_seed(config: ExperimentConfig, seed: int, log=None) -> SeedOutcome:
     train_seed, test_seed = (np.random.SeedSequence([seed, k]) for k in (1, 2))
     cl = seed_loop(config, seed)
     say(f"seed {seed}: loop with {cl.n_states} states, xi = {cl.xi:.4g}")
-    inputs = bound_inputs(cl, config.p, config.alpha, config.phi, n_rho=config.rho_grid)
+    analysis = LoopAnalysis(cl)
+    inputs = bound_inputs(analysis, config.p, config.alpha, config.phi, n_rho=config.rho_grid)
     ledger = least_ledger(inputs)
     say(f"seed {seed}: t0 = {ledger.t0:.4g}, k = {ledger.k:.4g}")
-    h_opt = observer_form(finite_horizon_predictor(cl, config.p)[1])
+    h_opt = observer_form(finite_horizon_predictor(analysis, config.p)[1])
     test, train = simulate_many(
         cl,
         [(config.test_length, test_seed), (max(config.t_sweep) + config.p, train_seed)],

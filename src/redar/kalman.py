@@ -22,17 +22,19 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import PredictorUnstable
-from .linalg import StateSpace, _require_stable
+from .linalg import StateSpace, _lyapunov, _require_stable, hinf_norm, markov_parameters
 from .realization import PredictorRealization, _innovation_predictor, predictor_from_coefficients
-from .systems import ClosedLoop, InnovationModel, autocovariance
+from .systems import ClosedLoop, InnovationModel, noise_to_signal
 from .varx import solve_normal_equations
 
 __all__ = [
     "CovarianceFloorWarning",
+    "LoopAnalysis",
     "MomentSet",
     "exact_moments",
     "finite_horizon_predictor",
@@ -60,12 +62,49 @@ class MomentSet:
     q: np.ndarray  # (p n_z, p n_z) lag covariance, block Toeplitz
     n: np.ndarray  # (n_y, p n_z) target-lag cross covariance
 
-    @property
-    def n_z(self) -> int:
-        return self.r.shape[1]
+
+@dataclass(frozen=True, eq=False)
+class LoopAnalysis:
+    """The stationary law of a closed loop, each part derived on first use
+    and at most once: the noise-to-signal map ``j``, its stationary state
+    covariance ``p_state`` (the loop's one Lyapunov solve), the output
+    covariance ``r0``, the steady-state predictor ``h_star`` and ``j_norm``,
+    the H-infinity norm of ``j``.  ``ClosedLoop`` refuses an unstable A."""
+
+    loop: ClosedLoop
+
+    @cached_property
+    def j(self) -> StateSpace:
+        return noise_to_signal(self.loop)
+
+    @cached_property
+    def p_state(self) -> np.ndarray:
+        return _lyapunov(self.j.a, self.j.b @ self.j.b.T)
+
+    @cached_property
+    def r0(self) -> np.ndarray:
+        return self.j.c @ self.p_state @ self.j.c.T + self.j.d @ self.j.d.T
+
+    @cached_property
+    def h_star(self) -> StateSpace:
+        return steady_state_predictor(self.loop.plant)
+
+    @cached_property
+    def j_norm(self) -> float:
+        return hinf_norm(self.j)
+
+    def autocovariance(self, max_lag: int) -> np.ndarray:
+        """Stationary autocovariances r[0..max_lag] of z = (u, y): r[t] is
+        Markov parameter t of (J.A, J.A P J.C^T + J.B J.D^T, J.C, r[0])."""
+        if max_lag < 0:
+            raise ValueError(f"max_lag must be nonnegative, got {max_lag}")
+        j = self.j
+        # cross covariance between the state at t+1 and z at t
+        m = j.a @ self.p_state @ j.c.T + j.b @ j.d.T
+        return markov_parameters(StateSpace(j.a, m, j.c, self.r0), max_lag + 1)
 
 
-def exact_moments(cl: ClosedLoop, p: int) -> MomentSet:
+def exact_moments(analysis: LoopAnalysis, p: int) -> MomentSet:
     """Population moments (Q, N) of the lag regression at order p.
 
     Q is block Toeplitz with block (i, j) = r[j - i] for lags stored
@@ -77,8 +116,8 @@ def exact_moments(cl: ClosedLoop, p: int) -> MomentSet:
     """
     if p < 1:
         raise ValueError(f"lag order must be positive, got {p}")
-    r = autocovariance(cl, p)
-    n_z, n_y = cl.n_z, cl.n_y
+    cl, r = analysis.loop, analysis.autocovariance(p)
+    n_z = cl.n_z
     q = np.empty((p * n_z, p * n_z))
     for i in range(p):
         for j in range(p):
@@ -97,11 +136,13 @@ def exact_moments(cl: ClosedLoop, p: int) -> MomentSet:
     return MomentSet(r=r, q=q, n=n)
 
 
-def finite_horizon_predictor(cl: ClosedLoop, p: int) -> tuple[np.ndarray, PredictorRealization]:
+def finite_horizon_predictor(
+    analysis: LoopAnalysis, p: int
+) -> tuple[np.ndarray, PredictorRealization]:
     """Population-optimal lag-p predictor G_opt = N Q^{-1} and its realization."""
-    moments = exact_moments(cl, p)
+    moments = exact_moments(analysis, p)
     g_opt = solve_normal_equations(moments.q, moments.n, 0.0)
-    h_opt = predictor_from_coefficients(g_opt, p, cl.n_u, cl.n_y)
+    h_opt = predictor_from_coefficients(g_opt, p, analysis.loop.n_u, analysis.loop.n_y)
     return g_opt, h_opt
 
 

@@ -33,10 +33,8 @@ from .errors import (
 from .linalg import (
     StateSpace,
     _as_matrix,
-    _lyapunov,
     _require_stable,
     kalman_gain,
-    markov_parameters,
     solve_discrete_riccati,
     spectral_radius,
 )
@@ -48,7 +46,6 @@ __all__ = [
     "Trajectory",
     "Dims",
     "noise_to_signal",
-    "autocovariance",
     "simulate",
     "simulate_many",
     "random_innovation_model",
@@ -245,30 +242,6 @@ def noise_to_signal(cl: ClosedLoop) -> StateSpace:
     b = np.hstack([cl.b_e @ l_psi, cl.b_v])
     d = np.hstack([cl.d_e @ l_psi, cl.d_v])
     return StateSpace(cl.a, b, cl.c_z, d)
-
-
-def autocovariance(cl: ClosedLoop, max_lag: int) -> np.ndarray:
-    """Stationary autocovariances r[0..max_lag] of z = (u, y).
-
-    With P the stationary state covariance of the noise-to-signal
-    realization J, r[t] is Markov parameter t of
-    (J.A, J.A P J.C^T + J.B J.D^T, J.C, r[0]).
-    """
-    if max_lag < 0:
-        raise ValueError(f"max_lag must be nonnegative, got {max_lag}")
-    j = noise_to_signal(cl)
-    p_state, r0 = _output_covariance(j)
-    # cross covariance between the state at t+1 and z at t
-    m = j.a @ p_state @ j.c.T + j.b @ j.d.T
-    return markov_parameters(StateSpace(j.a, m, j.c, r0), max_lag + 1)
-
-
-def _output_covariance(j: StateSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Stationary state covariance P of ``j`` under unit white noise, and
-    its output covariance r[0] = C P C^T + D D^T."""
-    _require_stable(j)
-    p_state = _lyapunov(j.a, j.b @ j.b.T)
-    return p_state, j.c @ p_state @ j.c.T + j.d @ j.d.T
 
 
 def default_burn_in(cl: ClosedLoop) -> int:

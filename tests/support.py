@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from redar import StateSpace, spectral_radius
@@ -35,3 +37,21 @@ def random_system(
 def random_psd(rng: np.random.Generator, n: int, floor: float = 0.0) -> np.ndarray:
     m = rng.standard_normal((n, n))
     return m @ m.T + floor * np.eye(n)
+
+
+def count_calls(monkeypatch, fn) -> list[tuple]:
+    """Record the positional arguments of every call of ``fn`` made through
+    any redar module attribute that holds it, since a caller looks ``fn``
+    up in its own module, and return the record."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "redar" or name.startswith("redar."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls

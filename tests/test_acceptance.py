@@ -16,6 +16,7 @@ from redar import (
     Dataset,
     Dims,
     ExperimentConfig,
+    LoopAnalysis,
     StateSpace,
     bound_inputs,
     exact_moments,
@@ -93,9 +94,10 @@ def test_02_vanishing_ridge_matches_population_optimum(acceptance_report):
     for seed in range(20):
         dims = Dims(2 + seed % 3, 1 + seed % 2, 1 + (seed // 2) % 2)
         cl = random_closed_loop(dims, 0.7, seed=np.random.SeedSequence([seed, 0]))
-        moments = exact_moments(cl, p)
+        analysis = LoopAnalysis(cl)
+        moments = exact_moments(analysis, p)
         g_limit = solve_normal_equations(moments.q, moments.n, 1.0 / math.inf)
-        g_opt, _ = finite_horizon_predictor(cl, p)
+        g_opt, _ = finite_horizon_predictor(analysis, p)
         worst = max(worst, float(np.linalg.norm(g_limit - g_opt)))
     ok = worst <= 1e-8
     acceptance_report(
@@ -111,7 +113,7 @@ def test_03_regression_consistency_on_mild_loop(acceptance_report, mild_loop):
     p, alpha = 2, 50.0
     inputs = bound_inputs(mild_loop, p, alpha, 0.05)
     ledger = select_ledger(inputs, 2.0**15)
-    g_opt, _ = finite_horizon_predictor(mild_loop, p)
+    g_opt, _ = finite_horizon_predictor(LoopAnalysis(mild_loop), p)
     sweep = [2**k for k in range(8, 17)]
     errs = np.zeros((20, len(sweep)))
     for s in range(20):
@@ -199,7 +201,7 @@ def test_06_model_error_bound_coverage(acceptance_report, siso_loop):
     p, alpha, phi, theta, t = 4, 1.0, 0.05, 0.1, 4096
     inputs = bound_inputs(siso_loop, p, alpha, phi, n_rho=16, envelope_grid=256, hinf_grid=512)
     bound = model_error_detail(inputs, theta, float(t)).value
-    _, h_opt = finite_horizon_predictor(siso_loop, p)
+    _, h_opt = finite_horizon_predictor(LoopAnalysis(siso_loop), p)
     hits = 0
     trials = 200
     worst = 0.0
@@ -251,7 +253,7 @@ def test_07_analytic_kernels_and_moment_extremes(acceptance_report, monkeypatch)
     for seed in range(50):
         cl = random_closed_loop(Dims(2, 1, 1), 0.7, seed=np.random.SeedSequence([seed, 0]))
         j_norm = hinf_norm(noise_to_signal(cl))
-        eigs = np.linalg.eigvalsh(exact_moments(cl, p).q)
+        eigs = np.linalg.eigvalsh(exact_moments(LoopAnalysis(cl), p).q)
         if eigs.max() > j_norm**2 * (1.0 + 1e-9):
             ceiling_bad += 1
         if eigs.min() < cl.xi * (1.0 - 1e-9):

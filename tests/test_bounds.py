@@ -7,16 +7,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import redar.bounds
+import redar.kalman
+import redar.linalg
+import redar.systems
 from redar import (
     BoundCells,
     BoundInputs,
     Dims,
     InvalidT0,
+    LoopAnalysis,
     NumericalError,
     RhoTooSmall,
     StateSpace,
     TBelowT0,
-    autocovariance,
     bound_cells,
     bound_inputs,
     build_ledger,
@@ -39,7 +42,7 @@ from redar import (
 from redar.experiments import ExperimentConfig, seed_loop
 
 from .oracles import dense_ledger_scan, envelope_scan_loop, ledger_scan
-from .support import random_system, rng_from
+from .support import count_calls, random_system, rng_from
 
 
 @pytest.fixture(scope="module")
@@ -538,15 +541,15 @@ class TestCellRule:
 
 
     def test_least_ledger_is_built_once_per_inputs(self, monkeypatch):
-        # a sweep of sizes below t0* reuses the inputs' least ledger (one
-        # or two build_ledger calls), and every cell is the invalid cell
+        # least_ledger builds the inputs' least ledger; a sweep of sizes
+        # below t0* reuses it, and every cell is the invalid cell
         inputs = bound_inputs(seed_loop(ExperimentConfig(), 0), 4, 1.0, 0.05)
         least, sizes = least_ledger(inputs), [2.0**k for k in range(8, 17)]
         assert max(sizes) < least.t0
-        builds, build = [], redar.bounds.build_ledger
-        monkeypatch.setattr(redar.bounds, "build_ledger", lambda *a: builds.append(a) or build(*a))
+        assert least_ledger(inputs) is least is select_ledger(inputs, 1.0)
+        builds = count_calls(monkeypatch, redar.bounds.build_ledger)
         cells = [bound_cells(inputs, 0.1, t) for t in sizes]
-        assert len(builds) <= 2
+        assert builds == []
         assert cells == [
             BoundCells(False, None, None, least.k, model_error_detail(inputs, 0.1, t))
             for t in sizes
@@ -657,7 +660,7 @@ class TestBoundInputs:
     def test_mild_loop_quantities(self, mild_loop, mild_inputs):
         assert mild_inputs.xi == 1.0
         assert mild_inputs.e_power_sq == pytest.approx(1.0)
-        z_power_sq = np.trace(autocovariance(mild_loop, 0)[0])
+        z_power_sq = np.trace(LoopAnalysis(mild_loop).autocovariance(0)[0])
         assert mild_inputs.z_power == pytest.approx(math.sqrt(z_power_sq))
         assert mild_inputs.j_norm >= 1.0
         assert 0.0 < mild_inputs.rho < 1.0
@@ -669,12 +672,28 @@ class TestBoundInputs:
         # trace r[0] in the last place, so the root is what is pinned
         cl = request.getfixturevalue(loop)
         inputs = bound_inputs(cl, p=2, alpha=1.0, phi=0.05, n_rho=8)
-        assert inputs.z_power == math.sqrt(np.trace(autocovariance(cl, 0)[0]))
+        assert inputs.z_power == math.sqrt(np.trace(LoopAnalysis(cl).autocovariance(0)[0]))
         assert inputs.e_power_sq == np.trace(cl.plant.psi)
+
+    def test_one_analysis_serves_every_lag(self, dynamic_loop, monkeypatch):
+        # the noise map, its Lyapunov solve, its H-infinity norm and the
+        # steady-state predictor are derived once for the eight lags, and
+        # each lag's inputs equal those of a fresh analysis, bit for bit
+        maps = count_calls(monkeypatch, redar.systems.noise_to_signal)
+        solves = count_calls(monkeypatch, redar.linalg._lyapunov)
+        norms = count_calls(monkeypatch, redar.linalg.hinf_norm)
+        predictors = count_calls(monkeypatch, redar.kalman.steady_state_predictor)
+        analysis = LoopAnalysis(dynamic_loop)
+        shared = [bound_inputs(analysis, p, alpha=1.0, phi=0.05) for p in range(1, 9)]
+        j_norms = [args for args in norms if args[0] is analysis.j]
+        assert (len(maps), len(solves), len(j_norms), len(predictors)) == (1, 1, 1, 1)
+        monkeypatch.undo()
+        assert shared == [bound_inputs(dynamic_loop, p, 1.0, 0.05) for p in range(1, 9)]
 
     def test_each_pole_set_computed_once(self, dynamic_loop, monkeypatch):
         # the predictor's A - KC (stability check, envelope scan, certified
-        # radii) and the loop's A (Lyapunov solve, noise-map norm)
+        # radii) and the loop's A (noise-map norm; ClosedLoop checked its
+        # stability before, so the Lyapunov solve needs no eigenvalues)
         predictor = steady_state_predictor(dynamic_loop.plant).a
         seen = []
         eigvals = np.linalg.eigvals

@@ -736,8 +736,8 @@ class TestExperiment:
         else:
             real = redar.kalman.exact_moments
 
-            def indefinite(cl, p):
-                m = real(cl, p)
+            def indefinite(analysis, p):
+                m = real(analysis, p)
                 return MomentSet(r=m.r, q=-m.q, n=m.n)
 
             monkeypatch.setattr("redar.kalman.exact_moments", indefinite)

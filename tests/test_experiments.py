@@ -6,6 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import redar.bounds
+import redar.linalg
+import redar.systems
 from redar import (
     ExperimentConfig,
     ReportRow,
@@ -25,6 +28,8 @@ from redar.experiments import (
     render_bound,
     render_cell,
 )
+
+from .support import count_calls
 
 TINY = ExperimentConfig(
     n_x=2,
@@ -174,6 +179,17 @@ class TestRunSeed:
         assert valid.bound_valid and valid.k == own.k < least.k
         assert valid.expected_bound == expected_error_bound(least.inputs, own, 2.0**18)
         assert invalid.t0 == valid.t0 == least.t0
+
+    def test_one_stationary_solve_and_one_ledger_per_seed(self, monkeypatch):
+        # bound inputs and the oracle predictor share the loop's noise map
+        # and its Lyapunov solve; the other 14 solves are the Gramians of
+        # the 7 fits.  The least ledger is built once.
+        maps = count_calls(monkeypatch, redar.systems.noise_to_signal)
+        solves = count_calls(monkeypatch, redar.linalg._lyapunov)
+        ledgers = count_calls(monkeypatch, redar.bounds.build_ledger)
+        outcome = run_seed(ExperimentConfig(), 0)
+        assert all(row.status == "ok" for row in outcome.rows)
+        assert (len(maps), len(solves), len(ledgers)) == (1, 15, 1)
 
     def test_rows_cover_sweep_in_order(self):
         outcome = run_seed(TINY, 1)

@@ -8,10 +8,10 @@ from redar import (
     Dataset,
     Dims,
     InnovationModel,
+    LoopAnalysis,
     MomentSet,
     NumericalError,
     PredictorUnstable,
-    autocovariance,
     exact_moments,
     finite_horizon_predictor,
     fit_varx,
@@ -32,20 +32,20 @@ from .oracles import autocovariance_monte_carlo, impulse_blocks
 
 class TestAutocovariance:
     def test_static_loop_is_white(self, static_loop):
-        r = autocovariance(static_loop, 5)
+        r = LoopAnalysis(static_loop).autocovariance(5)
         assert np.allclose(r[0], np.eye(2), atol=1e-12)
         assert np.allclose(r[1:], 0.0, atol=1e-12)
 
     def test_scalar_loop_decays_geometrically(self, mild_loop):
         a = mild_loop.plant.a[0, 0]
-        r = autocovariance(mild_loop, 6)
+        r = LoopAnalysis(mild_loop).autocovariance(6)
         for t in range(1, 6):
             assert np.allclose(r[t + 1], a * r[t], atol=1e-14)
         # u = v is white, so the lagged u rows vanish (u still drives future y)
         assert np.allclose(r[1:, 0, :], 0.0, atol=1e-14)
 
     def test_matches_monte_carlo(self, dynamic_loop, long_dynamic_traj):
-        r = autocovariance(dynamic_loop, 10)
+        r = LoopAnalysis(dynamic_loop).autocovariance(10)
         sample = autocovariance_monte_carlo(long_dynamic_traj.z, 10)
         scale = np.linalg.norm(r[0])
         for t in range(11):
@@ -53,20 +53,20 @@ class TestAutocovariance:
 
     def test_rejects_negative_lag(self, static_loop):
         with pytest.raises(ValueError):
-            autocovariance(static_loop, -1)
+            LoopAnalysis(static_loop).autocovariance(-1)
 
 
 class TestExactMoments:
     def test_white_signal_gives_identity_moments(self, static_loop):
-        m = exact_moments(static_loop, 3)
+        m = exact_moments(LoopAnalysis(static_loop), 3)
         assert np.allclose(m.q, np.eye(6), atol=1e-12)
         assert np.allclose(m.n, 0.0, atol=1e-12)
-        g_opt, _ = finite_horizon_predictor(static_loop, 3)
+        g_opt, _ = finite_horizon_predictor(LoopAnalysis(static_loop), 3)
         assert np.allclose(g_opt, 0.0, atol=1e-12)
 
     def test_block_toeplitz_structure(self, dynamic_loop):
         p = 4
-        m = exact_moments(dynamic_loop, p)
+        m = exact_moments(LoopAnalysis(dynamic_loop), p)
         n_z = dynamic_loop.n_z
         for i in range(p):
             for j in range(p):
@@ -77,7 +77,7 @@ class TestExactMoments:
         assert np.allclose(m.n, np.hstack([m.r[t][dynamic_loop.n_u :] for t in range(1, p + 1)]))
 
     def test_q_is_positive_definite(self, dynamic_loop):
-        m = exact_moments(dynamic_loop, 6)
+        m = exact_moments(LoopAnalysis(dynamic_loop), 6)
         assert np.allclose(m.q, m.q.T)
         assert np.linalg.eigvalsh(m.q).min() > 0.0
 
@@ -85,7 +85,7 @@ class TestExactMoments:
         from redar import build_regressors, empirical_moments
 
         p = 4
-        m = exact_moments(dynamic_loop, p)
+        m = exact_moments(LoopAnalysis(dynamic_loop), p)
         ds = Dataset.from_signals(long_dynamic_traj.u, long_dynamic_traj.y, p=p)
         d, y = build_regressors(ds)
         q_hat, n_hat = empirical_moments(d, y)
@@ -95,44 +95,45 @@ class TestExactMoments:
     def test_floor_holds_at_lag_one(self, dynamic_loop):
         with warnings.catch_warnings():
             warnings.simplefilter("error", CovarianceFloorWarning)
-            m = exact_moments(dynamic_loop, 1)
+            m = exact_moments(LoopAnalysis(dynamic_loop), 1)
         assert np.linalg.eigvalsh(m.q).min() >= dynamic_loop.xi - 1e-8
 
     def test_floor_warning_fires_for_stacked_lags(self, dynamic_loop):
         # the lag-one floor genuinely fails for stacked lags on this loop
         with pytest.warns(CovarianceFloorWarning):
-            exact_moments(dynamic_loop, 4)
+            exact_moments(LoopAnalysis(dynamic_loop), 4)
 
     def test_lag_covariance_ceiling(self, dynamic_loop):
         # every eigenvalue of Q is under the squared noise gain
-        j_norm = hinf_norm(noise_to_signal(dynamic_loop))
+        j_norm, analysis = hinf_norm(noise_to_signal(dynamic_loop)), LoopAnalysis(dynamic_loop)
         for p in (1, 2, 4, 8):
-            m = exact_moments(dynamic_loop, p)
+            m = exact_moments(analysis, p)
             assert np.linalg.eigvalsh(m.q).max() <= j_norm**2 * (1.0 + 1e-9)
 
     def test_rejects_bad_order(self, static_loop):
         with pytest.raises(ValueError):
-            exact_moments(static_loop, 0)
+            exact_moments(LoopAnalysis(static_loop), 0)
 
 
 class TestFiniteHorizonPredictor:
     def test_residual_orthogonality(self, dynamic_loop):
+        analysis = LoopAnalysis(dynamic_loop)
         for p in (1, 3, 6):
-            m = exact_moments(dynamic_loop, p)
-            g_opt, _ = finite_horizon_predictor(dynamic_loop, p)
+            m = exact_moments(analysis, p)
+            g_opt, _ = finite_horizon_predictor(analysis, p)
             resid = np.linalg.norm(m.n - g_opt @ m.q)
             assert resid <= 1e-9 * (1.0 + np.linalg.norm(m.n))
 
     def test_indefinite_lag_covariance_raises(self, dynamic_loop, monkeypatch):
-        m = exact_moments(dynamic_loop, 2)
+        m = exact_moments(LoopAnalysis(dynamic_loop), 2)
         q = m.q - 2.0 * np.linalg.norm(m.q) * np.eye(m.q.shape[0])
         indefinite = MomentSet(r=m.r, q=q, n=m.n)
-        monkeypatch.setattr("redar.kalman.exact_moments", lambda cl, p: indefinite)
+        monkeypatch.setattr("redar.kalman.exact_moments", lambda analysis, p: indefinite)
         with pytest.raises(NumericalError, match="not positive definite"):
-            finite_horizon_predictor(dynamic_loop, 2)
+            finite_horizon_predictor(LoopAnalysis(dynamic_loop), 2)
 
     def test_realization_shape(self, dynamic_loop):
-        g_opt, h_opt = finite_horizon_predictor(dynamic_loop, 5)
+        g_opt, h_opt = finite_horizon_predictor(LoopAnalysis(dynamic_loop), 5)
         assert h_opt.kind == "full"
         assert h_opt.order == 5 * dynamic_loop.n_z
         assert np.array_equal(h_opt.ss.c, g_opt)
@@ -141,7 +142,7 @@ class TestFiniteHorizonPredictor:
         p = 8
         h_star = steady_state_predictor(dynamic_loop.plant)
         rho, level = optimize_envelope(h_star, p, n_rho=32)
-        g_opt, _ = finite_horizon_predictor(dynamic_loop, p)
+        g_opt, _ = finite_horizon_predictor(LoopAnalysis(dynamic_loop), p)
         markov = markov_parameters(h_star, p + 1)[1:]
         n_z = dynamic_loop.n_z
         for i in range(1, p + 1):
@@ -151,7 +152,7 @@ class TestFiniteHorizonPredictor:
 
     def test_long_memory_recovers_steady_state(self, dynamic_loop):
         p = 30
-        g_opt, _ = finite_horizon_predictor(dynamic_loop, p)
+        g_opt, _ = finite_horizon_predictor(LoopAnalysis(dynamic_loop), p)
         markov = markov_parameters(steady_state_predictor(dynamic_loop.plant), p + 1)[1:]
         n_z = dynamic_loop.n_z
         for i in range(1, p + 1):
@@ -160,7 +161,7 @@ class TestFiniteHorizonPredictor:
 
     def test_oracle_beats_fitted_predictors(self, dynamic_loop):
         p, train_t = 4, 512
-        _, h_opt = finite_horizon_predictor(dynamic_loop, p)
+        _, h_opt = finite_horizon_predictor(LoopAnalysis(dynamic_loop), p)
         test = simulate(dynamic_loop, 16_384, seed=np.random.SeedSequence([500, 2]))
         mse_oracle = prediction_mse(test.y, run_predictor(h_opt.ss, test.z), discard=p)
         for seed in range(20):
@@ -213,5 +214,5 @@ class TestClosedLoopOptimality:
         for seed in range(8):
             cl = random_closed_loop(Dims(2, 1, 1), 0.7, seed=np.random.SeedSequence([seed, 0]))
             j_norm = hinf_norm(noise_to_signal(cl))
-            m = exact_moments(cl, 3)
+            m = exact_moments(LoopAnalysis(cl), 3)
             assert np.linalg.eigvalsh(m.q).max() <= j_norm**2 * (1.0 + 1e-9)

@@ -83,10 +83,11 @@ class TestSpectralRadius:
 
 
 class TestLyapunov:
-    """The solve behind every Lyapunov caller.  Each caller checks
-    stability first, which TestHankel.test_one_stability_check and
-    test_systems' test_autocovariance_rejects_unstable_loop cover; A here
-    is stable."""
+    """The solve behind every Lyapunov caller.  Each solves on an A checked
+    stable first: the Gramians after the check that
+    TestHankel.test_one_stability_check covers, and LoopAnalysis on a
+    ClosedLoop, which refuses an unstable A (test_systems'
+    TestAssemble.test_rejects_unstable_loop).  A here is stable."""
 
     @given(seeds, st.integers(1, 6), st.floats(0.1, 0.95))
     def test_residual_contract(self, seed, n, target):

@@ -14,10 +14,10 @@ from redar import (
     Dims,
     GenerationFailed,
     InnovationModel,
+    LoopAnalysis,
     NotStable,
     PredictorUnstable,
     Unstable,
-    autocovariance,
     bound_inputs,
     noise_to_signal,
     random_closed_loop,
@@ -28,7 +28,7 @@ from redar import (
     steady_state_predictor,
 )
 from redar import systems
-from redar.linalg import STABILITY_MARGIN, StateSpace, _require_stable
+from redar.linalg import STABILITY_MARGIN, _require_stable
 from redar.systems import _each, default_burn_in
 
 from .oracles import simulate_loop_direct, simulate_per_sample
@@ -320,7 +320,7 @@ class TestStationaryLaw:
         assert np.allclose(recovered @ recovered.T, dynamic_loop.plant.psi, atol=1e-10)
 
     def test_r0_matches_monte_carlo(self, dynamic_loop, long_dynamic_traj):
-        r0 = autocovariance(dynamic_loop, 0)[0]
+        r0 = LoopAnalysis(dynamic_loop).autocovariance(0)[0]
         z = long_dynamic_traj.z
         sample = z.T @ z / z.shape[0]
         assert np.linalg.norm(sample - r0) <= 0.02 * np.linalg.norm(r0)
@@ -335,12 +335,6 @@ class TestStationaryLaw:
         inputs = bound_inputs(static_loop, p=2, alpha=1.0, phi=0.05, n_rho=8)
         assert inputs.z_power**2 == pytest.approx(2.0)
         assert inputs.e_power_sq == pytest.approx(1.0)
-
-    def test_output_covariance_rejects_unstable_system(self):
-        # the stability check before the stationary Lyapunov solve
-        unstable = StateSpace(np.eye(2), np.ones((2, 1)), np.ones((1, 2)), np.zeros((1, 1)))
-        with pytest.raises(NotStable):
-            systems._output_covariance(unstable)
 
 
 class TestGenerators:
