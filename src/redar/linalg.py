@@ -10,7 +10,7 @@ square-root balanced truncation.  All systems are discrete time,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -61,35 +61,45 @@ def _as_matrix(m, rows=None, cols=None, name="matrix", square=False):
     return a
 
 
+def _set_matrices(obj, shapes):
+    # Validate, store and size the matrices a model declares in shapes,
+    # (field, label, rows, cols) in file order, each size named after the
+    # attribute it becomes.  The first matrix with a size sets it and every
+    # later one must match; one whose two sizes are the same new name must
+    # be square.  Every fault is _as_matrix's.
+    sizes = {}
+    for name, label, rows, cols in shapes:
+        if rows == cols and rows not in sizes:
+            m = _as_matrix(getattr(obj, name), name=label, square=True)
+        else:
+            m = _as_matrix(getattr(obj, name), sizes.get(rows), sizes.get(cols), label)
+        sizes.setdefault(rows, m.shape[0])
+        sizes.setdefault(cols, m.shape[1])
+        obj.__dict__[name] = m
+    obj.__dict__.update(sizes)
+
+
 @dataclass(frozen=True, eq=False)
 class StateSpace:
     """Immutable discrete-time LTI realization (A, B, C, D)."""
+
+    _MATRICES = (
+        ("a", "A", "n_states", "n_states"),
+        ("b", "B", "n_states", "n_inputs"),
+        ("c", "C", "n_outputs", "n_states"),
+        ("d", "D", "n_outputs", "n_inputs"),
+    )
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
     d: np.ndarray
+    n_states: int = field(init=False, repr=False)
+    n_inputs: int = field(init=False, repr=False)
+    n_outputs: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        a = _as_matrix(self.a, name="A", square=True)
-        n = a.shape[0]
-        b = _as_matrix(self.b, rows=n, name="B")
-        c = _as_matrix(self.c, cols=n, name="C")
-        d = _as_matrix(self.d, rows=c.shape[0], cols=b.shape[1], name="D")
-        for name, m in dict(a=a, b=b, c=c, d=d).items():
-            object.__setattr__(self, name, m)
-
-    @property
-    def n_states(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def n_inputs(self) -> int:
-        return self.b.shape[1]
-
-    @property
-    def n_outputs(self) -> int:
-        return self.c.shape[0]
+        _set_matrices(self, self._MATRICES)
 
     @cached_property
     def _poles(self) -> np.ndarray:
@@ -151,7 +161,7 @@ def solve_discrete_riccati(a, b, q, r):
     Solves ``P = A^T P A - A^T P B (R + B^T P B)^{-1} B^T P A + Q`` by the
     structure-preserving doubling iteration, which converges quadratically
     for stabilizable (A, B) and positive semidefinite Q, positive definite R.
-    It stops once a step moves P by at most 1e-12 max(1, ||P||_F).
+    It stops once a step moves P by at most 1e-12 ||P||_F.
 
     Returns
     -------
@@ -162,7 +172,7 @@ def solve_discrete_riccati(a, b, q, r):
     NotStabilizable
         If the iteration does not converge within 10,000 steps, an
         iterate or its step norm stops being finite, or the implied
-        closed loop ``A - B F`` is not stable.
+        closed loop ``A - B F`` is not stable (`_require_stable`).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float).reshape(a.shape[0], -1)
@@ -197,15 +207,15 @@ def solve_discrete_riccati(a, b, q, r):
         ):
             raise NotStabilizable("Riccati doubling iteration diverged")
         ak, gk, hk = a_next, 0.5 * (g_next + g_next.T), 0.5 * (h_next + h_next.T)
-        if step <= 1e-12 * max(1.0, np.linalg.norm(hk)):
+        if step <= 1e-12 * np.linalg.norm(hk):
             converged = True
             break
     if not converged:
         raise NotStabilizable("Riccati doubling iteration did not converge")
     p = hk
     gain = np.linalg.solve(r + b.T @ p @ b, b.T @ p @ a)
-    if b.shape[1] and spectral_radius(a - b @ gain) >= 1.0:
-        raise NotStabilizable("Riccati solution does not stabilize the pair (A, B)")
+    message = "Riccati solution does not stabilize the pair (A, B)"
+    _require_stable(a - b @ gain, NotStabilizable, message)
     return p
 
 

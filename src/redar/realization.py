@@ -25,12 +25,12 @@ regrouped, so the outputs are exact up to roundoff and strictly causal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatch, NumericalError
-from .linalg import StateSpace, _as_matrix, _require_stable, balanced_truncate
+from .linalg import StateSpace, _require_stable, _set_matrices, balanced_truncate
 from .varx import Dataset, VarxModel, _as_samples, fit_varx
 
 __all__ = [
@@ -75,36 +75,27 @@ class PredictorRealization:
 class IdentifiedModel:
     """Innovation-form estimate (Ahat, Bhat, Chat, Dhat = 0, Khat)."""
 
+    _MATRICES = (
+        ("a", "Ahat", "order", "order"),
+        ("b", "Bhat", "order", "n_u"),
+        ("c", "Chat", "n_y", "order"),
+        ("d", "Dhat", "n_y", "n_u"),
+        ("k", "Khat", "order", "n_y"),
+    )
+
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
     d: np.ndarray
     k: np.ndarray
+    order: int = field(init=False, repr=False)
+    n_u: int = field(init=False, repr=False)
+    n_y: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        a = _as_matrix(self.a, name="Ahat", square=True)
-        n = a.shape[0]
-        b = _as_matrix(self.b, rows=n, name="Bhat")
-        c = _as_matrix(self.c, cols=n, name="Chat")
-        n_y = c.shape[0]
-        k = _as_matrix(self.k, n, n_y, "Khat")
-        d = _as_matrix(self.d, n_y, b.shape[1], "Dhat")
-        if np.any(d != 0.0):
+        _set_matrices(self, self._MATRICES)
+        if np.any(self.d != 0.0):
             raise ValueError("identified models are strictly proper: Dhat must be zero")
-        for name, m in dict(a=a, b=b, c=c, d=d, k=k).items():
-            object.__setattr__(self, name, m)
-
-    @property
-    def order(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def n_u(self) -> int:
-        return self.b.shape[1]
-
-    @property
-    def n_y(self) -> int:
-        return self.c.shape[0]
 
     def predictor(self) -> StateSpace:
         """One-step predictor (A - K C, [B K], C, 0) driven by z."""

@@ -36,12 +36,13 @@ __all__ = [
 
 FORMAT_VERSION = 1
 
-# type tag -> (class, matrix names in file order); closed loops nest two
-# of these in sections instead of holding matrices
+# type tag -> class, whose _MATRICES gives its matrix names in file
+# order; closed loops nest two of these in sections instead of holding
+# matrices
 _MATRIX_MODELS = {
-    "innovation": (InnovationModel, ("a", "b", "c", "k", "psi")),
-    "controller": (Controller, ("af", "b1f", "b2f", "cf", "d1f", "d2f")),
-    "identified": (IdentifiedModel, ("a", "b", "c", "d", "k")),
+    "innovation": InnovationModel,
+    "controller": Controller,
+    "identified": IdentifiedModel,
 }
 
 
@@ -54,10 +55,10 @@ def _format_matrix(name: str, m) -> list[str]:
 
 
 def _model_body(model) -> list[str]:
-    for kind, (cls, names) in _MATRIX_MODELS.items():
+    for kind, cls in _MATRIX_MODELS.items():
         if isinstance(model, cls):
             lines = [f"type {kind}"]
-            for name in names:
+            for name, *_ in cls._MATRICES:
                 lines += _format_matrix(name, getattr(model, name))
             return lines
     if isinstance(model, ClosedLoop):
@@ -176,7 +177,8 @@ def _build(parser: _Parser):
 
 def _model(parser: _Parser, block_kind, matrices, sections):
     if block_kind in _MATRIX_MODELS:
-        cls, names = _MATRIX_MODELS[block_kind]
+        cls = _MATRIX_MODELS[block_kind]
+        names = tuple(name for name, *_ in cls._MATRICES)
         missing = [f for f in names if f not in matrices]
         extra = [f for f in matrices if f not in names]
         if missing or extra:

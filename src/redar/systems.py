@@ -34,6 +34,7 @@ from .linalg import (
     StateSpace,
     _as_matrix,
     _require_stable,
+    _set_matrices,
     kalman_gain,
     solve_discrete_riccati,
     spectral_radius,
@@ -57,43 +58,44 @@ __all__ = [
 class InnovationModel:
     """Innovation-form plant (A, B, C, K, Psi); strictly proper in u."""
 
+    _MATRICES = (
+        ("a", "A", "n_x", "n_x"),
+        ("b", "B", "n_x", "n_u"),
+        ("c", "C", "n_y", "n_x"),
+        ("k", "K", "n_x", "n_y"),
+        ("psi", "Psi", "n_y", "n_y"),
+    )
+
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
     k: np.ndarray
     psi: np.ndarray
+    n_x: int = field(init=False, repr=False)
+    n_u: int = field(init=False, repr=False)
+    n_y: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        a = _as_matrix(self.a, name="A", square=True)
-        n_x = a.shape[0]
-        b = _as_matrix(self.b, rows=n_x, name="B")
-        c = _as_matrix(self.c, cols=n_x, name="C")
-        n_y = c.shape[0]
-        k = _as_matrix(self.k, n_x, n_y, "K")
-        psi = _as_matrix(self.psi, n_y, n_y, "Psi")
+        _set_matrices(self, self._MATRICES)
+        psi = self.psi
         if not np.allclose(psi, psi.T, atol=1e-12):
             raise ValueError("Psi must be symmetric")
         if np.linalg.eigvalsh(0.5 * (psi + psi.T)).min() <= 0.0:
             raise ValueError("Psi must be positive definite")
-        for name, m in dict(a=a, b=b, c=c, k=k, psi=psi).items():
-            object.__setattr__(self, name, m)
-
-    @property
-    def n_x(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def n_u(self) -> int:
-        return self.b.shape[1]
-
-    @property
-    def n_y(self) -> int:
-        return self.c.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
 class Controller:
     """Output-feedback controller with excitation input v."""
+
+    _MATRICES = (
+        ("af", "AF", "n_s", "n_s"),
+        ("b1f", "B1F", "n_s", "n_y"),
+        ("b2f", "B2F", "n_s", "n_v"),
+        ("cf", "CF", "n_u", "n_s"),
+        ("d1f", "D1F", "n_u", "n_y"),
+        ("d2f", "D2F", "n_u", "n_v"),
+    )
 
     af: np.ndarray
     b1f: np.ndarray
@@ -101,34 +103,13 @@ class Controller:
     cf: np.ndarray
     d1f: np.ndarray
     d2f: np.ndarray
+    n_s: int = field(init=False, repr=False)
+    n_u: int = field(init=False, repr=False)
+    n_y: int = field(init=False, repr=False)
+    n_v: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        af = _as_matrix(self.af, name="AF", square=True)
-        n_s = af.shape[0]
-        b1f = _as_matrix(self.b1f, rows=n_s, name="B1F")
-        b2f = _as_matrix(self.b2f, rows=n_s, name="B2F")
-        cf = _as_matrix(self.cf, cols=n_s, name="CF")
-        n_y, n_u = b1f.shape[1], cf.shape[0]
-        d1f = _as_matrix(self.d1f, n_u, n_y, "D1F")
-        d2f = _as_matrix(self.d2f, n_u, b2f.shape[1], "D2F")
-        for name, m in dict(af=af, b1f=b1f, b2f=b2f, cf=cf, d1f=d1f, d2f=d2f).items():
-            object.__setattr__(self, name, m)
-
-    @property
-    def n_s(self) -> int:
-        return self.af.shape[0]
-
-    @property
-    def n_u(self) -> int:
-        return self.cf.shape[0]
-
-    @property
-    def n_y(self) -> int:
-        return self.b1f.shape[1]
-
-    @property
-    def n_v(self) -> int:
-        return self.d2f.shape[1]
+        _set_matrices(self, self._MATRICES)
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,13 +192,11 @@ class ClosedLoop:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Simulated closed-loop signals, all of equal length: the joint
-    signal z = (u, y), u columns first, and the noise (e, v) behind it."""
+    """Simulated closed-loop signal: the joint signal z = (u, y), u
+    columns first."""
 
     z: np.ndarray
     n_u: int
-    e: np.ndarray
-    v: np.ndarray
 
     @property
     def u(self) -> np.ndarray:
@@ -365,12 +344,12 @@ def simulate_many(
         start += m
         going = [j for j, r in enumerate(active) if lengths[r] > start]
         active, w = [active[j] for j in going], states[m, going]
+    del noise
     trajs = []
     for r in range(len(runs)):
-        # drop each run's full arrays once its trimmed copies exist
-        z, (e, v) = zs[r], noise[r]
-        zs[r] = noise[r] = None
-        trajs.append(Trajectory(z[burn_in:].copy(), cl.n_u, e[burn_in:].copy(), v[burn_in:].copy()))
+        # drop each run's full signal once its trimmed copy exists
+        z, zs[r] = zs[r], None
+        trajs.append(Trajectory(z[burn_in:].copy(), cl.n_u))
     return tuple(trajs)
 
 

@@ -152,6 +152,18 @@ class TestRiccati:
         resid = a.T @ p @ a - a.T @ p @ b @ gain + q - p
         assert np.linalg.norm(resid) <= 1e-8 * (1.0 + np.linalg.norm(p))
 
+    def test_small_solution_matches_scipy(self):
+        # ||P|| ~ 5e-14: only a stopping rule relative to ||P|| reaches it
+        a, b, q, r = [[0.9]], [[1.0]], [[1e-14]], [[1.0]]
+        p = solve_discrete_riccati(a, b, q, r)
+        expected = scipy.linalg.solve_discrete_are(*map(np.array, (a, b, q, r)))
+        assert np.linalg.norm(p - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    def test_closed_loop_inside_the_stability_margin_is_refused(self):
+        # A - B F has spectral radius 1 - 1e-12, above 1 - STABILITY_MARGIN
+        with pytest.raises(NotStabilizable, match="does not stabilize the pair"):
+            solve_discrete_riccati([[1.0 - 1e-12]], [[1e-6]], [[1e-20]], [[1.0]])
+
     def test_unstabilizable_pair(self):
         # the diverging iteration stops at its first non-finite norm, unwarned
         with warnings.catch_warnings():

@@ -46,7 +46,7 @@ class TestModelRoundTrip:
         text = dumps_model(plant)
         back = loads_model(text)
         assert isinstance(back, InnovationModel)
-        for name in ("a", "b", "c", "k", "psi"):
+        for name, *_ in InnovationModel._MATRICES:
             assert np.array_equal(getattr(back, name), getattr(plant, name))
         assert dumps_model(back) == text
 
@@ -54,7 +54,7 @@ class TestModelRoundTrip:
         ctrl = dynamic_loop.controller
         back = loads_model(dumps_model(ctrl))
         assert isinstance(back, Controller)
-        for name in ("af", "b1f", "b2f", "cf", "d1f", "d2f"):
+        for name, *_ in Controller._MATRICES:
             assert np.array_equal(getattr(back, name), getattr(ctrl, name))
         assert dumps_model(back) == dumps_model(ctrl)
 
@@ -62,7 +62,7 @@ class TestModelRoundTrip:
         model = identified_example()
         back = loads_model(dumps_model(model))
         assert isinstance(back, IdentifiedModel)
-        for name in ("a", "b", "c", "k", "d"):
+        for name, *_ in IdentifiedModel._MATRICES:
             assert np.array_equal(getattr(back, name), getattr(model, name))
         assert dumps_model(back) == dumps_model(model)
 
